@@ -24,8 +24,9 @@ sharded store.
 
 from repro.fleet.dispatch import FleetDispatcher
 from repro.fleet.registry import NodeInfo, NodeRegistry
-from repro.fleet.shards import (FleetWarehouse, ShardedStore, fleet_dir,
+from repro.fleet.shards import (FleetWarehouse, ShardedStore,
                                 fleet_shard_count, shard_index)
+from repro.harness.cache import fleet_dir
 from repro.fleet.worker import WorkerNode
 
 __all__ = [

@@ -19,8 +19,9 @@ work unchanged on a fleet store:
   shares the store root), which is what makes a point simulated by any
   node a store hit for every other node.
 
-The wrapper is selected by ``$REPRO_FLEET_DIR`` (see
-:func:`repro.harness.cache.get_store`); shard count comes from
+The wrapper is selected by ``$REPRO_FLEET_DIR`` (parsed by
+:func:`repro.harness.cache.fleet_dir`, see
+:func:`~repro.harness.cache.get_store`); shard count comes from
 ``$REPRO_FLEET_SHARDS`` and must be consistent fleet-wide.  Both are
 deployment knobs: they never reach a digest (DIG501) and results are
 bit-identical to a flat-store run.
@@ -34,14 +35,6 @@ from typing import Dict, List, Optional, Tuple
 from repro import envvars
 from repro.core.stats import SimResult
 from repro.harness.cache import GCResult, ResultStore, digest_config_dict
-
-
-def fleet_dir() -> Optional[Path]:
-    """The fleet store root from ``$REPRO_FLEET_DIR`` (None = no fleet)."""
-    env = envvars.raw("REPRO_FLEET_DIR")
-    if env is None or env.strip().lower() in envvars.OFF_VALUES:
-        return None
-    return Path(env).expanduser()
 
 
 def fleet_shard_count() -> int:

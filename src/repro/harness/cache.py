@@ -421,6 +421,14 @@ def store_dir() -> Optional[Path]:
     return base / "repro-sim"
 
 
+def fleet_dir() -> Optional[Path]:
+    """The fleet store root from ``$REPRO_FLEET_DIR`` (None = no fleet)."""
+    env = envvars.raw("REPRO_FLEET_DIR")
+    if env is None or env.strip().lower() in envvars.OFF_VALUES:
+        return None
+    return Path(env).expanduser()
+
+
 def get_store() -> Optional[ResultStore]:
     """The process-wide store handle, or ``None`` when caching is off.
 
@@ -431,10 +439,12 @@ def get_store() -> Optional[ResultStore]:
     never influence digests."""
     global _store, _store_resolved
     if not _store_resolved:
-        # imported lazily: repro.fleet sits above the harness layer.
-        from repro.fleet.shards import ShardedStore, fleet_dir
         fleet_root = fleet_dir()
         if fleet_root is not None:
+            # imported only here: repro.fleet sits above the harness
+            # layer and pulls in the service, which a local run never
+            # needs.
+            from repro.fleet.shards import ShardedStore
             _store = ShardedStore(fleet_root)
         else:
             directory = store_dir()

@@ -4,12 +4,15 @@ The evaluation grid is embarrassingly parallel — hundreds of independent
 :meth:`Pipeline.run` invocations — so :func:`run_points` fans pending
 points out over a spawn-safe :class:`~concurrent.futures.ProcessPoolExecutor`
 and streams ``(index, result, elapsed)`` tuples back as points complete.
-At ``jobs=1`` (the default) it degrades to a plain serial loop with no
-pool, no pickling, and identical results.
+At ``jobs=1`` (the default), or with at most one task to run, it
+degrades to a plain serial loop with no pool, no pickling, and
+identical results.
 
-Worker processes consult and populate the persistent
-:mod:`~repro.harness.cache` store directly, so a point simulated by any
-worker is a disk hit for every later process.
+The dispatching process looks every point up in the persistent
+:mod:`~repro.harness.cache` store first and serves the hits itself; only
+the misses reach workers, which simulate them and populate the store
+directly, so a point simulated by any worker is a disk hit for every
+later process.
 
 Job count resolution, in priority order: explicit ``jobs=`` argument,
 :func:`set_default_jobs` (the CLI's ``--jobs``), ``$REPRO_JOBS``, then 1.
@@ -208,24 +211,25 @@ def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
     # late import: repro.service imports this module at load time, so
     # the spec class must resolve lazily to keep the layering acyclic.
     from repro.service.jobs import JobSpec
-    store = get_store()
     out: List[Optional[dict]] = [None] * len(wire_specs)
     gang_ok = gang_enabled()
     gang_points: List[tuple] = []
+    gang_digests: List[Optional[str]] = []
     gang_indices: List[int] = []
     for idx, wire in enumerate(wire_specs):
         timeout_s = wire.get("_timeout_s")
         t0 = time.time()
         try:
             spec = JobSpec.from_wire(wire)
-            hit = store.get(spec.digest()) if store is not None else None
+            digest, hit = lookup_point(spec.point())
             if hit is None and gang_ok and timeout_s is None:
                 gang_points.append(spec.point())
+                gang_digests.append(digest)
                 gang_indices.append(idx)
                 continue
             with _alarm(timeout_s):
                 result = hit if hit is not None \
-                    else simulate_point(*spec.point())
+                    else simulate_misses([spec.point()], [digest])[0]
         except PointTimeout:
             out[idx] = {"ok": False, "error": {
                 "type": "timeout",
@@ -239,13 +243,66 @@ def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
                         "store_hit": hit is not None}
     for group in _gang_groups(gang_points):
         t0 = time.time()
-        results = simulate_gang([gang_points[g] for g in group])
+        results = simulate_misses([gang_points[g] for g in group],
+                                  [gang_digests[g] for g in group])
         share = (time.time() - t0) / len(group)
         for g, result in zip(group, results):
             out[gang_indices[g]] = {"ok": True, "result": result,
                                     "elapsed_s": share,
                                     "store_hit": False}
     return out  # type: ignore[return-value]
+
+
+def lookup_point(spec: PointSpec
+                 ) -> Tuple[Optional[str], Optional[SimResult]]:
+    """Look one point up in the persistent store: ``(digest, result)``,
+    with ``result`` ``None`` on a miss and both ``None`` when the store
+    is off.  A miss's digest is what :func:`simulate_misses` stores the
+    result under, so the point is looked up (and counted) only once."""
+    store = get_store()
+    if store is None:
+        return None, None
+    digest = point_digest(*spec)
+    return digest, store.get(digest)
+
+
+def simulate_misses(specs: Sequence[PointSpec],
+                    digests: Sequence[Optional[str]]) -> List[SimResult]:
+    """Simulate points already known to miss the store and persist each
+    result under its digest (``None``: store off, nothing persisted).
+
+    One spec runs solo.  Several must be gang-compatible — identical
+    ``(benchmarks, length, seed, stop)``, any configs — and run as one
+    :class:`~repro.core.gang.GangEngine` sharing decoded traces.  If the
+    gang raises (e.g. one member deadlocks), every spec is re-run solo
+    so the failure is raised by — and attributed to — the offending
+    spec alone.
+    """
+    if len(specs) == 1:
+        config, benchmarks, length, seed, stop = specs[0]
+        results = [Pipeline(config, traces_for(benchmarks, length, seed)
+                            ).run(stop=stop)]
+    else:
+        try:
+            members = [Pipeline(config, traces_for(benchmarks, length, seed))
+                       for config, benchmarks, length, seed, _ in specs]
+            results = GangEngine(members, stop=specs[0][4]).run()
+        except Exception:  # repro-lint: waive=DET104
+            # Audited: nothing is swallowed — the solo replay re-runs
+            # every spec, so the failing member re-raises its exact
+            # exception with solo attribution, and its healthy
+            # gang-mates still produce (bit-identical) results.
+            return [simulate_misses([spec], [digest])[0]
+                    for spec, digest in zip(specs, digests)]
+    store = get_store()
+    if store is not None:
+        for spec, digest, result in zip(specs, digests, results):
+            if digest is not None:
+                # the point tuple rides along so the store can write the
+                # meta sidecar and the warehouse row with full config
+                # columns.
+                store.put(digest, result, point=spec)
+    return results
 
 
 def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
@@ -255,82 +312,38 @@ def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
     Checks the content-addressed disk store first, simulates on miss, and
     persists the result so any other process sharing the store dir hits.
     """
-    store = get_store()
-    if store is not None:
-        digest = point_digest(config, benchmarks, length, seed, stop)
-        cached = store.get(digest)
-        if cached is not None:
-            return cached
-    traces = traces_for(benchmarks, length, seed)
-    result = Pipeline(config, traces).run(stop=stop)
-    if store is not None:
-        # the point tuple rides along so the store can write the meta
-        # sidecar and the warehouse row with full config columns.
-        store.put(digest, result,
-                  point=(config, benchmarks, length, seed, stop))
-    return result
+    spec = (config, benchmarks, length, seed, stop)
+    digest, cached = lookup_point(spec)
+    if cached is not None:
+        return cached
+    return simulate_misses([spec], [digest])[0]
 
 
 def simulate_gang(specs: Sequence[PointSpec]) -> List[SimResult]:
-    """Run gang-compatible specs — identical ``(benchmarks, length,
-    seed, stop)``, any configs — as one gang through the store.
-
-    Per-spec store hits are honoured individually; the misses become
-    members of one :class:`~repro.core.gang.GangEngine` sharing decoded
-    traces, and every result is persisted exactly as
-    :func:`simulate_point` would.  If the gang raises (e.g. one member
-    deadlocks), the misses are re-run solo so the failure is raised by
-    — and attributed to — the offending spec alone.
-    """
-    specs = list(specs)
-    store = get_store()
-    results: List[Optional[SimResult]] = [None] * len(specs)
-    digests: List[Optional[str]] = [None] * len(specs)
-    pending = []
-    for i, (config, benchmarks, length, seed, stop) in enumerate(specs):
-        if store is not None:
-            digests[i] = point_digest(config, benchmarks, length, seed,
-                                      stop)
-            cached = store.get(digests[i])
-            if cached is not None:
-                results[i] = cached
-                continue
-        pending.append(i)
-    if not pending:
-        return results  # type: ignore[return-value]
-    try:
-        members = []
-        for i in pending:
-            config, benchmarks, length, seed, stop = specs[i]
-            members.append(
-                Pipeline(config, traces_for(benchmarks, length, seed)))
-        gang_results = GangEngine(
-            members, stop=specs[pending[0]][4]).run()
-    except Exception:  # repro-lint: waive=DET104
-        # Audited: nothing is swallowed — the solo replay below re-runs
-        # every miss, so the failing member re-raises its exact
-        # exception with solo attribution, and its healthy gang-mates
-        # still produce (bit-identical) results.
-        for i in pending:
-            results[i] = simulate_point(*specs[i])
-        return results  # type: ignore[return-value]
-    for i, result in zip(pending, gang_results):
-        results[i] = result
-        if store is not None:
-            store.put(digests[i], result, point=specs[i])
+    """Run gang-compatible specs (see :func:`simulate_misses`) through
+    the store: per-spec hits are honoured individually and the misses
+    simulate as one gang, persisted exactly as :func:`simulate_point`
+    would."""
+    results: List[Optional[SimResult]] = []
+    pending: List[int] = []
+    digests: List[Optional[str]] = []
+    for i, spec in enumerate(specs):
+        digest, cached = lookup_point(spec)
+        results.append(cached)
+        if cached is None:
+            pending.append(i)
+            digests.append(digest)
+    if pending:
+        simulated = simulate_misses([specs[i] for i in pending], digests)
+        for i, result in zip(pending, simulated):
+            results[i] = result
     return results  # type: ignore[return-value]
 
 
-def _worker(spec: PointSpec) -> Tuple[SimResult, float]:
+def _run_task(specs: Sequence[PointSpec], digests: Sequence[Optional[str]]
+              ) -> Tuple[List[SimResult], float]:
     t0 = time.time()
-    result = simulate_point(*spec)
-    return result, time.time() - t0
-
-
-def _gang_worker(specs: Sequence[PointSpec]
-                 ) -> Tuple[List[SimResult], float]:
-    t0 = time.time()
-    results = simulate_gang(specs)
+    results = simulate_misses(specs, digests)
     return results, time.time() - t0
 
 
@@ -360,59 +373,60 @@ def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
     """Run every spec, yielding ``(index, result, elapsed_s)`` as each
     completes.
 
-    With ``jobs > 1`` points run across a spawn-context process pool and
-    arrive in completion order; with ``jobs = 1`` (or a single spec) they
-    run serially in this process.  Either way every completed point is
-    yielded exactly once, so callers can checkpoint incrementally.
-
-    When gang mode is on (``REPRO_GANG``, default) specs sharing a trace
-    signature run as one :class:`~repro.core.gang.GangEngine` unit —
-    one pool task (or one serial step) per gang, results bit-identical
-    to solo, per-spec elapsed reported as the gang's share — so yields
-    may leave spec order even at ``jobs = 1``.
+    This process looks every spec up in the persistent store first,
+    once: hits are yielded straight away (elapsed = the read time) and
+    only the misses are dispatched, so every point is read and counted
+    in this process's :func:`~repro.harness.runner.cache_stats` exactly
+    once.  Misses sharing a trace signature form one gang task when gang
+    mode is on (``REPRO_GANG``, default) — results bit-identical to
+    solo, per-spec elapsed reported as the gang's share — and every
+    other miss is a solo task.  With more than one task and ``jobs > 1``
+    the tasks run across a spawn-context process pool of at most one
+    worker per task and arrive in completion order; otherwise they run
+    serially in this process, so a fully warm grid spawns nothing.
+    Either way every point is yielded exactly once, so callers can
+    checkpoint incrementally; yields may leave spec order even at
+    ``jobs = 1``.
     """
     specs = list(specs)
-    jobs = min(resolve_jobs(jobs), max(len(specs), 1))
-    if gang_enabled() and len(specs) > 1:
-        groups = _gang_groups(specs)
+    misses: List[int] = []
+    digests: Dict[int, Optional[str]] = {}
+    for i, spec in enumerate(specs):
+        t0 = time.time()
+        digest, cached = lookup_point(spec)
+        if cached is not None:
+            yield i, cached, time.time() - t0
+        else:
+            misses.append(i)
+            digests[i] = digest
+    if gang_enabled() and len(misses) > 1:
+        tasks = [[misses[k] for k in group]
+                 for group in _gang_groups([specs[i] for i in misses])]
     else:
-        groups = [[i] for i in range(len(specs))]
-    if jobs <= 1:
-        for indices in groups:
-            if len(indices) == 1:
-                result, elapsed = _worker(specs[indices[0]])
-                yield indices[0], result, elapsed
-            else:
-                results, elapsed = _gang_worker(
-                    [specs[i] for i in indices])
-                share = elapsed / len(indices)
-                for i, result in zip(indices, results):
-                    yield i, result, share
-        return
-    # spawn, not fork: workers re-import the package, so they are safe
-    # regardless of parent threads and identical across platforms.
-    ctx = multiprocessing.get_context("spawn")
-    pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+        tasks = [[i] for i in misses]
+    jobs = min(resolve_jobs(jobs), len(tasks))
     with interrupt_on_sigterm():
+        if jobs <= 1:
+            for indices in tasks:
+                results, elapsed = _run_task([specs[i] for i in indices],
+                                             [digests[i] for i in indices])
+                for i, result in zip(indices, results):
+                    yield i, result, elapsed / len(indices)
+            return
+        # spawn, not fork: workers re-import the package, so they are
+        # safe regardless of parent threads and identical across
+        # platforms.
+        ctx = multiprocessing.get_context("spawn")
+        pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
         try:
-            futures = {}
-            for indices in groups:
-                if len(indices) == 1:
-                    future = pool.submit(_worker, specs[indices[0]])
-                else:
-                    future = pool.submit(
-                        _gang_worker, [specs[i] for i in indices])
-                futures[future] = indices
+            futures = {pool.submit(_run_task, [specs[i] for i in indices],
+                                   [digests[i] for i in indices]): indices
+                       for indices in tasks}
             for future in as_completed(futures):
                 indices = futures[future]
-                if len(indices) == 1:
-                    result, elapsed = future.result()
-                    yield indices[0], result, elapsed
-                    continue
                 results, elapsed = future.result()
-                share = elapsed / len(indices)
                 for i, result in zip(indices, results):
-                    yield i, result, share
+                    yield i, result, elapsed / len(indices)
         except BaseException:
             # KeyboardInterrupt / SIGTERM / a consumer abandoning the
             # generator: kill in-flight workers (before shutdown() —

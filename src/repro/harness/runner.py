@@ -6,8 +6,9 @@ experiments that share runs — e.g. Figure 10's mix runs feeding
 Figure 13's EDP — simulate each point once per process; and persistently
 via the content-addressed disk store in :mod:`repro.harness.cache`, so a
 fresh interpreter (or a pool worker) reuses every previously simulated
-point.  :func:`prefill` fans uncached points out across a process pool
-(see :mod:`repro.harness.executor`) and seeds both levels.
+point.  :func:`prefill` reads stored points in this process, fans the
+rest out across a process pool (see :mod:`repro.harness.executor`) and
+seeds both levels.
 
 STP needs a single-threaded reference CPI per benchmark.  We reference all
 configurations against the *baseline* (Base64) single-thread CPIs, which
@@ -113,12 +114,15 @@ def prefill(points: Iterable[PointSpec],
     """Simulate every not-yet-memoized point, fanned out over *jobs*
     worker processes, and seed both cache levels.
 
-    Points already in the in-process memo are skipped; workers skip
-    points present in the persistent store.  Returns how many points
-    were dispatched.  After this, the matching :func:`run_mix` /
-    :func:`run_benchmark` calls are all cache hits, so experiment code
-    keeps its simple serial shape while the simulation work scales
-    across cores.
+    Points already in the in-process memo are skipped.  The rest go to
+    :func:`~repro.harness.executor.run_points`, which serves persistent-
+    store hits in this process (counted once each in
+    :func:`cache_stats`) and hands only the misses to workers, so a
+    fully warm grid spawns no pool.  Returns how many points were
+    dispatched (hits included).  After this, the matching
+    :func:`run_mix` / :func:`run_benchmark` calls are all cache hits,
+    so experiment code keeps its simple serial shape while the
+    simulation work scales across cores.
     """
     seen = set()
     specs = []

@@ -20,8 +20,9 @@ control loop on a background thread:
    the affected batch: the pool is rebuilt and the batch's jobs are
    requeued after an exponential backoff, up to ``max_retries`` per job.
 
-Workers simulate through :func:`repro.harness.executor.simulate_point`,
-so every completed point lands in the persistent result store and is a
+Workers simulate through
+:func:`repro.harness.executor.execute_wire_batch`, so every completed
+point lands in the persistent result store and is a
 disk hit for every later request, service-side or not.
 """
 

@@ -2,18 +2,21 @@
 
 Covers: content digests, store round-trips and corruption tolerance,
 job-count resolution, serial-vs-parallel campaign determinism,
-resume-after-interrupt, zero-simulation replay from the store, and the
-two-level cache statistics.
+resume-after-interrupt, zero-simulation replay from the store, store
+hits served before dispatch, and the two-level cache statistics.
 """
 
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.pipeline import Pipeline
 from repro.harness import cache as hcache
-from repro.harness import runner
+from repro.harness import executor, runner
 from repro.harness.cache import ResultStore, point_digest
 from repro.harness.campaign import Campaign, CampaignPoint, standard_campaign
 from repro.harness.configs import base64_config, shelf_config
@@ -274,3 +277,75 @@ class TestCacheStats:
         assert runner.prefill(points) == 0  # everything already memoized
         runner.run_mix(cfg, MIXES[0], 200, 0)
         assert runner.cache_stats()["memo_hits"] == 1
+
+
+def _distinct_specs():
+    """Three points with distinct trace signatures: three dispatch
+    tasks, even with gang mode on."""
+    return [(base64_config(2), MIXES[0], 200, 0, "first"),
+            (base64_config(2), MIXES[1], 200, 1, "first"),
+            (shelf_config(2, shelf_entries=32), MIXES[0], 200, 2, "first")]
+
+
+def _no_pool(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a worker pool was spawned")
+    monkeypatch.setattr(executor, "ProcessPoolExecutor", boom)
+
+
+class TestDispatchLookup:
+    """Store hits are served by the dispatching process, once each."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prefill_counts_each_point_once(self, isolated_store, jobs):
+        specs = _distinct_specs()
+        counts = lambda s: (s["disk_hits"], s["disk_misses"])  # noqa: E731
+        assert runner.prefill(specs, jobs=jobs) == 3
+        assert counts(runner.cache_stats()) == (0, 3)
+        runner.clear_cache()  # keep the disk store, drop memo + counters
+        assert runner.prefill(specs, jobs=jobs) == 3
+        assert counts(runner.cache_stats()) == (3, 0)
+
+    def test_warm_dispatch_spawns_no_pool(self, isolated_store,
+                                          monkeypatch):
+        specs = _distinct_specs()
+        cold = {i: pickle.dumps(result)
+                for i, result, _ in run_points(specs, jobs=2)}
+        runner.clear_cache()
+        _no_pool(monkeypatch)
+        monkeypatch.setattr(Pipeline, "run", lambda self, stop="all": (
+            (_ for _ in ()).throw(AssertionError("simulated a hit"))))
+        yielded = [(i, pickle.dumps(result))
+                   for i, result, _ in run_points(specs, jobs=2)]
+        assert sorted(i for i, _ in yielded) == [0, 1, 2]
+        assert dict(yielded) == cold
+
+    def test_single_miss_task_runs_in_process(self, isolated_store,
+                                              monkeypatch):
+        monkeypatch.delenv("REPRO_GANG", raising=False)
+        # two misses sharing a trace signature (one gang task) and one
+        # stored point.
+        specs = [(base64_config(2), MIXES[0], 200, 0, "first"),
+                 (shelf_config(2, shelf_entries=32), MIXES[0], 200, 0,
+                  "first"),
+                 (base64_config(2), MIXES[1], 200, 1, "first")]
+        warm = simulate_point(*specs[2])
+        runner.clear_cache()
+        _no_pool(monkeypatch)
+        out = {i: result for i, result, _ in run_points(specs, jobs=2)}
+        assert sorted(out) == [0, 1, 2]
+        assert pickle.dumps(out[2]) == pickle.dumps(warm)
+        stats = runner.cache_stats()
+        assert stats["disk_hits"] == 1 and stats["disk_misses"] == 2
+        store = hcache.get_store()
+        assert all(point_digest(*spec) in store for spec in specs)
+
+    def test_store_lookup_does_not_import_the_fleet(self, tmp_path):
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("REPRO_FLEET_DIR", None)
+        code = ("import sys\n"
+                "from repro.harness.cache import get_store\n"
+                "assert get_store() is not None\n"
+                "assert 'repro.fleet' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
