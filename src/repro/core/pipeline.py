@@ -612,7 +612,7 @@ class Pipeline:
             return False
         if dyn.is_load:
             if cycle < dyn.retry_after:
-                return False  # structural replay backoff (MSHRs were full)
+                return False  # structural replay: MSHRs were full
             # Store-set dependence captured at dispatch (program order);
             # the load waits until that store produces address+data.
             w = dyn.waiting_store
@@ -661,9 +661,9 @@ class Pipeline:
         if dyn.is_load:
             mem_lat = self._load_latency(thread, dyn, cycle)
             if mem_lat is None:
-                # L1D MSHRs full: the scheduler replays the load after a
-                # short backoff rather than hammering every cycle.
-                dyn.retry_after = cycle + 4
+                # L1D MSHRs full: the scheduler replays the load once a
+                # fill can have freed an MSHR rather than polling.
+                dyn.retry_after = self.hierarchy.replay_cycle(cycle)
                 return False
             latency = max(latency, mem_lat)
         elif dyn.is_store:

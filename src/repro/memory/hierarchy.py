@@ -69,7 +69,7 @@ class MemoryHierarchy:
         """Access the data path; return total latency in cycles.
 
         Returns ``None`` when no L1D MSHR is available (structural hazard;
-        the pipeline retries the access on a later cycle).
+        the pipeline replays the access at :meth:`replay_cycle`).
         """
         c = self.config
         line = self.l1d.line_addr(addr)
@@ -106,6 +106,16 @@ class MemoryHierarchy:
         if self.prefetcher is not None:
             self._issue_prefetches(self.prefetcher.on_miss(line), cycle)
         return total
+
+    def replay_cycle(self, cycle: int) -> int:
+        """When a load refused at *cycle* (:meth:`access_data` returned
+        ``None``) replays: the first slot of its 4-cycle replay cadence at
+        which an L1D MSHR can have freed, i.e. at or after the next fill.
+        The scheduler wakes it on that miss-return event instead of
+        polling the full MSHR file.
+        """
+        wait = self.l1d_mshrs.next_fill(cycle) - cycle
+        return cycle + -(-wait // 4) * 4
 
     def _issue_prefetches(self, lines, cycle: int) -> None:
         """Bring prefetch candidates into L1D through spare MSHRs."""

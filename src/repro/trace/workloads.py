@@ -102,11 +102,40 @@ class _Body:
 _BodyFn = Callable[[_Body, random.Random, int, dict], None]
 
 
-def _chase_order(rng: random.Random, n_elems: int) -> List[int]:
-    """A single-cycle random permutation for pointer chasing."""
-    order = list(range(n_elems))
-    rng.shuffle(order)
-    return order
+_MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio multiplier
+_M64 = (1 << 64) - 1
+
+
+def _chase_cycle(rng: random.Random, n_elems: int) -> Callable[[int], int]:
+    """A keyed bijection *sigma* on ``[0, n_elems)`` for pointer chasing.
+
+    The chase visits sigma(0) -> sigma(1) -> ... -> sigma(n-1) -> sigma(0):
+    one cycle through every element, generated in O(1) time and memory
+    per visited node.  *sigma* is a 4-round (unbalanced) Feistel network
+    on the index bits, cycle-walked back into range when *n_elems* is not
+    a power of two; its round keys come from the trace's *rng*.
+    """
+    bits = max((n_elems - 1).bit_length(), 2)
+    hi = bits // 2
+    lo = bits - hi
+    keys = [rng.getrandbits(64) for _ in range(4)]
+
+    def rounds(x: int) -> int:
+        top, bot = hi, lo  # widths of the upper / lower field
+        for key in keys:
+            a, b = x >> bot, x & ((1 << bot) - 1)
+            f = ((b ^ key) * _MIX & _M64) >> (64 - top)
+            x = (b << top) | (a ^ f)
+            top, bot = bot, top
+        return x
+
+    def sigma(i: int) -> int:
+        x = rounds(i)
+        while x >= n_elems:  # cycle-walk: stays a bijection on [0, n)
+            x = rounds(x)
+        return x
+
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +151,16 @@ def _make_pchase(footprint: int, chains: int, alu_pad: int,
     side_elems = max(8 * _KB // _WORD, 16)
 
     def body(b: _Body, rng: random.Random, it: int, st: dict) -> None:
-        if "order" not in st:
-            st["order"] = _chase_order(rng, n_elems)
-            st["pos"] = [c * (n_elems // max(chains, 1)) for c in range(chains)]
-        order = st["order"]
+        if "sigma" not in st:
+            st["sigma"] = _chase_cycle(rng, n_elems)
+            # Chain c starts c/chains of the way round the one cycle.
+            st["pos"] = [c * n_elems // chains for c in range(chains)]
+        sigma = st["sigma"]
         for c in range(chains):
             ptr_reg = 1 + c  # r1..rC carry the chase pointers
             pos = st["pos"][c]
-            addr = pos * _WORD
-            st["pos"][c] = order[pos]
+            addr = sigma(pos) * _WORD
+            st["pos"][c] = (pos + 1) % n_elems
             b.load(ptr_reg, addr, ptr_reg)  # serialized: addr depends on load
             for k in range(alu_pad):
                 # pad ALU work dependent on the loaded value
@@ -224,14 +254,14 @@ def _make_serial(op: OpClass, chain_len: int, mem_every: int = 0,
     n_elems = max(footprint // _WORD, 16)
 
     def body(b: _Body, rng: random.Random, it: int, st: dict) -> None:
-        if mem_every and "order" not in st:
-            st["order"] = _chase_order(rng, n_elems)
+        if mem_every and "sigma" not in st:
+            st["sigma"] = _chase_cycle(rng, n_elems)
             st["pos"] = 0
         for step in range(chain_len):
             if mem_every and step % mem_every == mem_every - 1:
                 pos = st["pos"]
-                st["pos"] = st["order"][pos]
-                b.load(2, pos * _WORD, 2)
+                st["pos"] = (pos + 1) % n_elems
+                b.load(2, st["sigma"](pos) * _WORD, 2)
                 b.alu(2, (2,), op=op)
             else:
                 b.alu(2, (2,), op=op)
@@ -456,13 +486,18 @@ def generate(name: str, length: int, seed: int = 0) -> Trace:
     spec, fn = _SPECS[name]
     # zlib.crc32 is stable across processes (str hash is randomized).
     rng = random.Random((zlib.crc32(name.encode()) & 0xFFFF) * 31 + seed)
+    return Trace(name, _instance(fn, rng, length))
+
+
+def _instance(fn: _BodyFn, rng: random.Random,
+              length: int) -> List[Instruction]:
+    """Instance loop body *fn* until it yields *length* instructions."""
     state: dict = {}
     instrs: List[Instruction] = []
-    base_pc = 0x1000
     it = 0
     while len(instrs) < length:
-        body = _Body(base_pc)
+        body = _Body(0x1000)
         fn(body, rng, it, state)
         instrs.extend(body.instrs)
         it += 1
-    return Trace(name, instrs[:length])
+    return instrs[:length]
