@@ -28,14 +28,20 @@ class MSHRFile:
             raise ValueError("MSHR file needs at least one entry")
         self.num_entries = num_entries
         self._entries: Dict[int, int] = {}  # line -> fill-complete cycle
+        #: Earliest fill-complete cycle among the entries (NO_EVENT when
+        #: empty): expiry has nothing to do before it.
+        self._min_fill = NO_EVENT
         self.merges = 0
         self.allocations = 0
         self.full_events = 0
 
     def _expire(self, cycle: int) -> None:
-        done = [line for line, c in self._entries.items() if c <= cycle]
-        for line in done:
-            del self._entries[line]
+        if cycle < self._min_fill:
+            return
+        entries = self._entries
+        for line in [line for line, c in entries.items() if c <= cycle]:
+            del entries[line]
+        self._min_fill = min(entries.values(), default=NO_EVENT)
 
     def lookup(self, line: int, cycle: int) -> Optional[int]:
         """If *line* is already in flight, return its fill-complete cycle."""
@@ -60,6 +66,8 @@ class MSHRFile:
             self.full_events += 1
             return None
         self._entries[line] = fill_cycle
+        if fill_cycle < self._min_fill:
+            self._min_fill = fill_cycle
         self.allocations += 1
         return fill_cycle
 
@@ -67,6 +75,8 @@ class MSHRFile:
         """Earliest fill-complete cycle strictly after *cycle*
         (:data:`NO_EVENT` when none is outstanding) — a fast-forward
         horizon query; entries are expired lazily as usual."""
+        if cycle < self._min_fill:
+            return self._min_fill
         return min((c for c in self._entries.values() if c > cycle),
                    default=NO_EVENT)
 
@@ -76,4 +86,5 @@ class MSHRFile:
 
     def reset(self) -> None:
         self._entries.clear()
+        self._min_fill = NO_EVENT
         self.merges = self.allocations = self.full_events = 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.memory import Cache, HierarchyConfig, MSHRFile, MemoryHierarchy
+from repro.memory.mshr import NO_EVENT
 
 
 class TestCache:
@@ -97,6 +98,25 @@ class TestMSHR:
         assert m.full_events == 1
         # After the first fill completes a slot frees up.
         assert m.allocate(2, 100, 200) == 200
+
+    def test_expiry_and_next_fill_track_earliest_fill(self):
+        m = MSHRFile(4)
+        m.allocate(1, 0, 100)
+        m.allocate(2, 0, 50)
+        m.allocate(3, 0, 100)
+        assert m.next_fill(10) == 50
+        assert m.next_fill(50) == 100  # due entry not yet expired
+        assert m.lookup(9, 60) is None
+        assert m.outstanding == 2
+        assert m.next_fill(60) == 100
+        m.allocate(4, 60, 70)
+        assert m.next_fill(60) == 70
+        assert m.lookup(9, 100) is None
+        assert m.outstanding == 0
+        assert m.next_fill(100) == NO_EVENT
+        m.allocate(5, 100, 130)
+        m.reset()
+        assert m.next_fill(0) == NO_EVENT
 
     def test_zero_entries_rejected(self):
         with pytest.raises(ValueError):
