@@ -1,16 +1,19 @@
 """Fleet bench: a cold-store grid campaign across 1 vs 3 worker nodes.
 
 Runs the same 16-point campaign (4 mixes x 4 configs — four locality
-keys, so the rendezvous router actually spreads work) three ways:
+keys, so the rendezvous router actually spreads work) four ways:
 
 * ``local`` — serial in-process pipeline runs; the bit-identity
   reference and the no-service cost of the batch.
+* ``pool`` — :func:`repro.harness.executor.run_points` with
+  ``jobs=3`` from a cold store, pool spawn included: the local
+  process-pool baseline the fleet has to beat.
 * ``fleet1`` — an in-process fleet coordinator with one
   ``python -m repro worker`` subprocess, cold sharded store.
 * ``fleet3`` — the same campaign against three worker subprocesses,
   again from a cold store.
 
-A fourth round re-runs the campaign while the first worker is killed
+A fifth round re-runs the campaign while the first worker is killed
 mid-batch (``REPRO_FLEET_CRASH_ONCE``) and a rescuer finishes the
 queue: the bench asserts zero lost jobs and at least one re-queue.
 
@@ -35,6 +38,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.core.pipeline import Pipeline
+from repro.harness import executor, runner
 from repro.harness.cache import reset_store
 from repro.harness.configs import shelf_config
 from repro.service.jobs import JobSpec
@@ -54,6 +58,9 @@ _CONFIGS_PER_MIX = 4
 #: non-smoke scales (see module docstring).
 MIN_FLEET_SPEEDUP = 2.4
 MIN_CPUS_FOR_SPEEDUP = 3
+
+#: worker processes in the ``pool`` round (as many as the 3-node fleet).
+POOL_JOBS = 3
 
 
 def _grid(length):
@@ -80,6 +87,21 @@ def _reference_records(specs):
 
 def _strip(record):
     return {k: v for k, v in record.items() if k != "elapsed_s"}
+
+
+def _pool_round(store_dir, specs, monkeypatch):
+    """The campaign through the local process pool from a cold store,
+    pool spawn included; returns (elapsed_s, records)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(store_dir))
+    monkeypatch.delenv("REPRO_FLEET_DIR", raising=False)
+    runner.clear_cache()
+    t0 = time.perf_counter()
+    results = executor.map_points([spec.point() for spec in specs],
+                                  jobs=POOL_JOBS)
+    elapsed = time.perf_counter() - t0
+    records = {spec.digest(): _strip(result.as_record())
+               for spec, result in zip(specs, results)}
+    return elapsed, records
 
 
 def _spawn_worker(url, name, crash_token=None):
@@ -162,6 +184,10 @@ def test_fleet_campaign_scaling(benchmark, scale, tmp_path, monkeypatch):
                   for d, r in _reference_records(specs).items()}
     local_s = time.perf_counter() - t0
 
+    pool_s, pool_records = _pool_round(tmp_path / "pool", specs,
+                                       monkeypatch)
+    assert pool_records == references, "local pool diverged from local"
+
     fleet1_s, records1, _ = _fleet_round(tmp_path / "fleet1", specs, 1,
                                          monkeypatch)
 
@@ -200,6 +226,8 @@ def test_fleet_campaign_scaling(benchmark, scale, tmp_path, monkeypatch):
         "instructions_per_thread": length,
         "mixes": ["+".join(m) for m in _MIXES],
         "local_s": round(local_s, 4),
+        "pool_jobs": POOL_JOBS,
+        "pool_s": round(pool_s, 4),
         "fleet1_s": round(fleet1_s, 4),
         "fleet3_s": round(fleet3_s, 4),
         "speedup_3v1": speedup,
@@ -214,7 +242,8 @@ def test_fleet_campaign_scaling(benchmark, scale, tmp_path, monkeypatch):
     (REPO_ROOT / "BENCH_fleet.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"\nfleet campaign ({len(specs)} points, {cpus} cpus): "
-          f"local {local_s:.2f}s, 1 worker {fleet1_s:.2f}s, "
+          f"local {local_s:.2f}s, pool({POOL_JOBS}) {pool_s:.2f}s, "
+          f"1 worker {fleet1_s:.2f}s, "
           f"3 workers {fleet3_s:.2f}s ({speedup:.2f}x 3v1); "
           f"kill round lost {jobs_lost} jobs, "
           f"requeued {kill_metrics['fleet_requeued']}")

@@ -152,30 +152,6 @@ _BR_OP = OpClass.BRANCH
 _CHUNK = 4096
 
 
-def decode_trace(trace) -> Tuple[list, list, list]:
-    """Pre-decode a trace into read-only fetch arrays.
-
-    Returns ``(ops, lats, nextbr)``: the per-position opcode (the exact
-    ``instr.op`` objects the lanes store), the base FU latency, and the
-    position of the next branch at or after each index (``len(trace)``
-    when none).  One decode is shared by every gang member running the
-    same trace (the arrays are never mutated), letting
-    :meth:`LaneEngine._fetch_decoded` fill lanes by slice assignment
-    and skip per-instruction branch tests on branch-free stretches.
-    """
-    instrs = trace._instrs
-    n = len(instrs)
-    ops = [ins.op for ins in instrs]
-    lats = [_LAT_BY_OP[op] for op in ops]
-    nextbr = [0] * n
-    nb = n
-    for i in range(n - 1, -1, -1):
-        if ops[i] is _BR_OP:
-            nb = i
-        nextbr[i] = nb
-    return ops, lats, nextbr
-
-
 class LaneEngine:
     """Fused run loop over flat instruction-slot lanes.
 
@@ -215,14 +191,6 @@ class LaneEngine:
                        self.waits, self.shelfv, self.ssrseg, self.iqp)
         #: slot id -> live DynInstr (the object API surface).
         self.dyn_of: List[DynInstr] = []
-
-        #: per-thread shared decoded-trace arrays (see
-        #: :func:`decode_trace`), installed by the gang engine when this
-        #: pipeline runs as a gang member: ``decode[tid]`` is
-        #: ``(ops, lats, nextbr)`` or None.  Purely an acceleration of
-        #: fetch — lane contents and DynInstr construction are
-        #: bit-identical with or without it.
-        self.decode: Optional[List[Optional[tuple]]] = None
 
         # -- engine-owned issue scheduling -----------------------------
         #: min-heap of (operands-ready cycle, gseq) — the lane image of
@@ -339,8 +307,7 @@ class LaneEngine:
     # ------------------------------------------------------------------
 
     def run_loop(self, stop_first: bool, limit: int, warm: int,
-                 total_instrs: int, single: bool = False,
-                 until: int = 0) -> bool:
+                 total_instrs: int, single: bool = False) -> None:
         """``Pipeline.run``'s cycle loop with all seven stages inlined.
 
         Mirrors the reference loop exactly: stop conditions and the
@@ -349,14 +316,6 @@ class LaneEngine:
         fast-forward jumps go through the unmodified object helpers.
         Raises :class:`~repro.core.pipeline.DeadlockError` exactly as
         ``Pipeline.run`` would; the caller builds the result.
-
-        Returns ``True`` when the run's stop condition is satisfied.
-        With ``until > 0`` the loop instead returns ``False`` as soon as
-        ``pipe.cycle >= until`` — a bounded slice the caller can resume
-        from (the gang engine advances members in such slices; a
-        fast-forward jump may overshoot the bound, which only makes the
-        slice end later).  All engine and pipeline state is consistent
-        at every return, so re-entering continues the identical run.
 
         With ``single=True``, executes exactly one cycle and skips the
         run-level checks (the contract of ``Pipeline.step``).
@@ -470,7 +429,7 @@ class LaneEngine:
                     if single_thread:
                         # stop-first and stop-all coincide for one thread.
                         if t_first.retired >= tlen_first:
-                            return True
+                            return
                     elif stop_first:
                         fin = False
                         for i in range(n):
@@ -478,11 +437,9 @@ class LaneEngine:
                                 fin = True
                                 break
                         if fin:
-                            return True
+                            return
                     elif pipe._total_retired >= total_instrs:
-                        return True
-                    if until and cycle >= until:
-                        return False
+                        return
                     if use_ff and try_ff(limit):
                         cycle = pipe.cycle
                         if warm:
@@ -1179,7 +1136,7 @@ class LaneEngine:
                 cycle += 1
                 pipe.cycle = cycle
                 if single:
-                    return False
+                    return
 
                 # ====== post-step run checks ==========================
                 if warm:
@@ -1222,12 +1179,6 @@ class LaneEngine:
             if lat > self.c_l1i:
                 thread.fetch_blocked_until = cycle + lat
                 thread.ifetch_pending = True
-                return
-        dec = self.decode
-        if dec is not None:
-            d = dec[thread.tid]
-            if d is not None:
-                self._fetch_decoded(thread, cycle, width, d)
                 return
         pipe = self.pipe
         space = self.c_febuf - len(thread.frontend)
@@ -1274,130 +1225,6 @@ class LaneEngine:
                     break
                 if instr.taken:
                     break  # the fetch block ends at a taken branch
-        cursor.pos = pos
-        pipe._gseq = gseq
-        if fetched:
-            thread.icount += fetched
-            ev.fetches += fetched
-            pipe._last_activity_cycle = cycle
-
-    def _fetch_decoded(self, thread: "ThreadContext", cycle: int,
-                       width: int, dec: tuple) -> None:
-        """Fetch burst over shared pre-decoded trace arrays.
-
-        Gang members running the same trace share one
-        :func:`decode_trace` result; branch-free stretches fill the
-        opcode/latency lanes by slice assignment and build each
-        :class:`DynInstr` with the exact eager-slot stores
-        ``DynInstr.__init__`` performs (same fields, same values, same
-        order — the write-before-read contract is unchanged).  Branches
-        go through the identical per-instruction predictor path as
-        :meth:`_fetch_thread`, so fetch behaviour — block boundaries,
-        mispredict gating, event counts — is bit-identical.
-        """
-        ops, lats, nextbr = dec
-        cursor = thread.cursor
-        instrs = cursor.trace._instrs
-        pos = cursor.pos
-        pipe = self.pipe
-        space = self.c_febuf - len(thread.frontend)
-        if space > width:
-            space = width
-        tid = thread.tid
-        lim = pos + space
-        tlen = self.tlen[tid]
-        if lim > tlen:
-            lim = tlen
-        gseq = pipe._gseq
-        ready = cycle + self.c_f2d
-        fe_append = thread.frontend.append
-        dyn_append = self.dyn_of.append
-        if gseq + (lim - pos) >= self._cap:
-            self._grow(gseq + (lim - pos))
-        opk, latl, tidl = self.opk, self.lat, self.tidl
-        pred = self.pred
-        ev = pipe.events
-        new = DynInstr.__new__
-        start = pos
-        while pos < lim:
-            stop = nextbr[pos]
-            end = lim if stop > lim else stop
-            if end > pos:
-                # Branch-free stretch: bulk lane fill + tight DynInstr
-                # construction (no per-instr branch test, no latency
-                # table lookup — both pre-decoded).
-                cnt = end - pos
-                g2 = gseq + cnt
-                opk[gseq:g2] = ops[pos:end]
-                latl[gseq:g2] = lats[pos:end]
-                if tid:
-                    tidl[gseq:g2] = [tid] * cnt
-                # (tid 0 needs no tidl writes: slots are fresh, zeroed.)
-                for i in range(pos, end):
-                    dyn = new(DynInstr)
-                    dyn.tid = tid
-                    dyn.seq = i
-                    dyn.gseq = gseq
-                    dyn.instr = instrs[i]
-                    dyn.op = ops[i]
-                    dyn.latency = lats[i]
-                    dyn.mispredicted = False
-                    dyn.to_shelf = False
-                    dyn.rename = None
-                    dyn.steer_cached = None
-                    dyn.issued = False
-                    dyn.executed = False
-                    dyn.completed = False
-                    dyn.retired = False
-                    dyn.squashed = False
-                    dyn.frontend_ready = ready
-                    dyn_append(dyn)
-                    fe_append(dyn)
-                    gseq += 1
-                pos = end
-                if pos >= lim:
-                    break
-            # A branch: the one per-instruction path that must consult
-            # (and train) the live predictor.
-            instr = instrs[pos]
-            op = ops[pos]
-            dyn = new(DynInstr)
-            dyn.tid = tid
-            dyn.seq = pos
-            dyn.gseq = gseq
-            dyn.instr = instr
-            dyn.op = op
-            dyn.latency = lats[pos]
-            dyn.mispredicted = False
-            dyn.to_shelf = False
-            dyn.rename = None
-            dyn.steer_cached = None
-            dyn.issued = False
-            dyn.executed = False
-            dyn.completed = False
-            dyn.retired = False
-            dyn.squashed = False
-            dyn.frontend_ready = ready
-            opk[gseq] = op
-            latl[gseq] = lats[pos]
-            if tid:
-                tidl[gseq] = tid
-            dyn_append(dyn)
-            fe_append(dyn)
-            gseq += 1
-            pos += 1
-            ev.bpred_lookups += 1
-            correct = pred.predict(tid, instr.pc, instr.taken,
-                                   instr.next_pc)
-            pred.update(tid, instr.pc, instr.taken, instr.next_pc)
-            if not correct:
-                dyn.mispredicted = True
-                thread.pending_branch = dyn
-                ev.branch_mispredicts += 1
-                break
-            if instr.taken:
-                break  # the fetch block ends at a taken branch
-        fetched = pos - start
         cursor.pos = pos
         pipe._gseq = gseq
         if fetched:

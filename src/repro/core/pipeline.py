@@ -139,13 +139,6 @@ class Pipeline:
         self.ff_jumps = 0
         self.ff_skipped_cycles = 0
 
-        #: sliced-run state (see :meth:`start_run`): stop condition,
-        #: cycle limit, remaining warm-up target, total trace length.
-        self._run_stop: str = "first"
-        self._run_limit: int = 0
-        self._run_warm: int = 0
-        self._run_total: int = 0
-
         #: flat-lane engine: mirrors per-instruction hot state into
         #: parallel int arrays and runs an inlined cycle step over them.
         #: Built last so it can snapshot every structure above.
@@ -172,22 +165,6 @@ class Pipeline:
                 microarchitectural state stays warm — the paper warms
                 structures before its measurement region the same way.
         """
-        self.start_run(stop, max_cycles, warmup_instructions)
-        self.advance()
-        return self.finish_run()
-
-    def start_run(self, stop: str = "first",
-                  max_cycles: Optional[int] = None,
-                  warmup_instructions: int = 0) -> None:
-        """Validate and record run parameters without simulating.
-
-        The sliced-run API — ``start_run`` / :meth:`advance` /
-        :meth:`finish_run` — is :meth:`run` split into resumable pieces
-        so a gang engine can interleave bounded slices of several
-        pipelines through one driver loop.  ``run`` itself is exactly
-        ``start_run(); advance(); finish_run()``, so the two surfaces
-        can never drift.
-        """
         if stop not in ("first", "all"):
             raise ValueError("stop must be 'first' or 'all'")
         total_instrs = sum(len(t.trace) for t in self.threads)
@@ -195,65 +172,37 @@ class Pipeline:
         warm = warmup_instructions
         if warm and warm >= min(len(t.trace) for t in self.threads):
             raise ValueError("warmup must be shorter than the traces")
-        self._run_stop = stop
-        self._run_limit = limit
-        self._run_warm = warm
-        self._run_total = total_instrs
 
-    def advance(self, until: Optional[int] = None) -> bool:
-        """Simulate toward the stop condition; ``True`` once reached.
-
-        With ``until`` set, returns ``False`` as soon as
-        ``self.cycle >= until`` — a bounded slice; call again to resume
-        the identical run (a fast-forward jump may overshoot the bound,
-        which only makes the slice end later).  Raises
-        :class:`DeadlockError` exactly as :meth:`run` would.
-        """
-        stop = self._run_stop
-        limit = self._run_limit
-        warm = self._run_warm
-        total_instrs = self._run_total
         if self._lane_engine is not None:
             # The lane engine owns the cycle loop: same stop conditions,
             # warm-up resets, fast-forward jumps, and deadlock checks,
             # with the stage bodies inlined (see repro.core.lanes).
-            done = self._lane_engine.run_loop(stop == "first", limit,
-                                              warm, total_instrs,
-                                              until=until or 0)
-            if warm and all(t.retired >= warm for t in self.threads):
-                # run_loop already reset statistics when every thread
-                # crossed the warm-up mark (its warm check runs before
-                # any bounded-slice return); never reset twice.
-                self._run_warm = 0
-            return done
-        while self.cycle < limit:
-            if stop == "first" and \
-                    any(t.finished for t in self.threads):
-                return True
-            if all(t.finished for t in self.threads):
-                return True
-            if until is not None and self.cycle >= until:
-                return False
-            if not self.fastforward or not self._try_fast_forward(limit):
-                self.step()
-            if warm and all(t.retired >= warm for t in self.threads):
-                self._reset_statistics()
-                warm = self._run_warm = 0
-            if self.cycle - self._progress_cycle() > \
-                    self.DEADLOCK_WINDOW \
-                    and not self._progress_scheduled():
-                raise DeadlockError(self._deadlock_report())
-        raise DeadlockError(f"max_cycles={limit} exceeded "
-                            f"({self._total_retired}/"
-                            f"{total_instrs} retired)")
-
-    def finish_run(self) -> SimResult:
-        """Post-run drain check and result construction (the tail of
-        :meth:`run`); call once :meth:`advance` has returned ``True``."""
+            self._lane_engine.run_loop(stop == "first", limit, warm,
+                                       total_instrs)
+        else:
+            while self.cycle < limit:
+                if stop == "first" and \
+                        any(t.finished for t in self.threads):
+                    break
+                if all(t.finished for t in self.threads):
+                    break
+                if not self.fastforward or not self._try_fast_forward(limit):
+                    self.step()
+                if warm and all(t.retired >= warm for t in self.threads):
+                    self._reset_statistics()
+                    warm = 0
+                if self.cycle - self._progress_cycle() > \
+                        self.DEADLOCK_WINDOW \
+                        and not self._progress_scheduled():
+                    raise DeadlockError(self._deadlock_report())
+            else:
+                raise DeadlockError(f"max_cycles={limit} exceeded "
+                                    f"({self._total_retired}/"
+                                    f"{total_instrs} retired)")
         if self.sanitizer is not None and \
                 all(t.finished for t in self.threads):
             self.sanitizer.check_drain(self.cycle)
-        return self._result(self._run_stop)
+        return self._result(stop)
 
     def _reset_statistics(self) -> None:
         """End of warm-up: zero counters, keep all architectural state."""

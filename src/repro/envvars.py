@@ -75,19 +75,6 @@ REGISTRY: Dict[str, EnvVar] = {var.name: var for var in (
         "(default on).  0 selects the per-object reference pipeline; "
         "results are bit-identical either way."),
     EnvVar(
-        "REPRO_GANG", "1", "flag",
-        "Gang simulation: advance compatible campaign points (same "
-        "trace signature, differing configs) through one interpreter "
-        "loop with shared decoded traces (default on).  0 runs every "
-        "point solo.  A mode flag like REPRO_LANES: results are "
-        "bit-identical either way and the value never enters digests."),
-    EnvVar(
-        "REPRO_GANG_SIZE", "16", "int",
-        "Maximum members per simulation gang (default 16).  Larger "
-        "gangs amortize trace decode further but hold more member "
-        "state live at once; 1 effectively disables gang formation.  "
-        "Never part of result digests."),
-    EnvVar(
         "REPRO_WAREHOUSE_DB", None, "path",
         "Result-warehouse index location (a sqlite file).  Unset = "
         "<store dir>/warehouse.sqlite3 next to the content-addressed "

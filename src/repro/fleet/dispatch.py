@@ -10,7 +10,7 @@ registered worker nodes through a **pull** protocol:
    :class:`~repro.service.jobs.JobQueue` into per-node queues, keyed by
    each job's locality key (trace signature) under rendezvous hashing
    (:meth:`NodeRegistry.route`): grid neighbours land on the same node,
-   keeping its trace memo and gang batches warm.  Routed jobs stay in
+   keeping its trace memo warm.  Routed jobs stay in
    the QUEUED state — they are *waiting at a node*, not running.
 2. **leasing** — a worker's ``POST /fleet/lease`` takes a batch from
    its own queue; an idle worker **steals from the tail of the deepest
@@ -46,7 +46,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
 
-from repro.core.gang import gang_enabled
 from repro.service.jobs import Job, JobQueue
 from repro.service.metrics import ServiceMetrics
 from repro.fleet.registry import NodeRegistry, lease_budget
@@ -205,9 +204,8 @@ class FleetDispatcher:
         """Drain the central heap into per-node queues by locality."""
         if not self.registry.alive_ids():
             return  # no fleet yet; jobs wait in the central heap
-        gang = gang_enabled()
         while True:
-            batch = self.queue.take_batch(self.batch_size, gang=gang,
+            batch = self.queue.take_batch(self.batch_size,
                                           mark_running=False)
             if not batch:
                 return

@@ -1,8 +1,8 @@
 """Worker registration, heartbeats, and salt-stable node routing.
 
 The coordinator tracks its fleet in a :class:`NodeRegistry`: workers
-self-register with a capability report (local job slots, gang support,
-which store shards they front), then heartbeat on a fixed interval.  A
+self-register with a capability report (local job slots and the store
+shards they front), then heartbeat on a fixed interval.  A
 node that misses three consecutive intervals is reaped — the dispatcher
 re-queues its leased jobs exactly once (see
 :mod:`repro.fleet.dispatch`).
@@ -16,7 +16,7 @@ signature — benchmarks/length/seed/stop), the node with the highest
   the same key to the same node, with no shared state;
 * **local** — grid neighbours (same traces, different configs) share a
   locality key, so they land on the same node, keeping its trace memo
-  and gang batches warm;
+  warm;
 * **stable under churn** — when a node joins or dies, only the keys
   whose argmax involved that node move; everything else stays put.
 """
@@ -63,8 +63,6 @@ class NodeInfo:
     name: str
     #: local simulation job slots the node runs leases with.
     jobs: int = 1
-    #: whether the node's executor gang-batches compatible points.
-    gang: bool = True
     #: store shards the node fronts (informational; every node can
     #: reach every shard through the shared fleet dir).
     shards: List[int] = field(default_factory=list)
@@ -83,7 +81,6 @@ class NodeInfo:
             "node_id": self.node_id,
             "name": self.name,
             "jobs": self.jobs,
-            "gang": self.gang,
             "shards": list(self.shards),
             "alive": self.alive(now, interval),
             "age_s": round(now - self.registered_at, 3),
@@ -117,7 +114,7 @@ class NodeRegistry:
 
     # -- membership --------------------------------------------------------
 
-    def register(self, name: str, jobs: int = 1, gang: bool = True,
+    def register(self, name: str, jobs: int = 1,
                  shards: Optional[List[int]] = None) -> NodeInfo:
         """Admit a worker; returns its :class:`NodeInfo` (the node_id in
         it is what the worker must present on every later call)."""
@@ -126,7 +123,7 @@ class NodeRegistry:
             self._counter += 1
             node_id = f"node-{self._counter:03d}"
             info = NodeInfo(node_id=node_id, name=name,
-                            jobs=max(1, int(jobs)), gang=bool(gang),
+                            jobs=max(1, int(jobs)),
                             shards=list(shards or []),
                             registered_at=now, last_heartbeat=now)
             self._nodes[node_id] = info

@@ -34,7 +34,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, \
 
 from repro import envvars
 from repro.core.config import CoreConfig
-from repro.core.gang import GangEngine, gang_enabled, gang_size
 from repro.core.pipeline import Pipeline
 from repro.core.stats import SimResult
 from repro.harness.cache import get_store, point_digest
@@ -49,9 +48,7 @@ PointSpec = Tuple[CoreConfig, Tuple[str, ...], int, int, str]
 
 #: (name, length, seed) -> trace, LRU-bounded.  Traces are immutable
 #: once generated (cursors live on ThreadContext), so one object safely
-#: serves every point that names it — which is also what lets gang
-#: members share a single decoded-trace array set (keyed on object
-#: identity in :mod:`repro.core.gang`).
+#: serves every point that names it.
 _TRACE_MEMO: "OrderedDict[Tuple[str, int, int], object]" = OrderedDict()
 _TRACE_MEMO_MAX = 64
 _trace_memo_hits = 0
@@ -63,8 +60,8 @@ def traces_for(benchmarks: Tuple[str, ...], length: int,
     """The traces for one point, memoized per trace per process.
 
     A 50-config grid over one mix generates its traces once per worker
-    instead of 50 times; repeated lookups also return the *same* trace
-    objects, enabling decode sharing across gang members.
+    instead of 50 times; repeated lookups return the *same* trace
+    objects.
     """
     global _trace_memo_hits, _trace_memo_misses
     out = []
@@ -200,64 +197,39 @@ def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
       store) successfully;
     * ``{"ok": False, "error": {...}}`` — the point timed out or its
       spec failed validation; the rest of the batch still runs.
-
-    With gang mode on (``REPRO_GANG``), store-missing points *without*
-    a per-point timeout that share a trace signature simulate as one
-    :class:`~repro.core.gang.GangEngine` unit (results bit-identical
-    to solo, ``elapsed_s`` reported as the gang's share); timed points
-    stay on the solo path because the ``SIGALRM`` budget is per point
-    and gang members interleave.
     """
     # late import: repro.service imports this module at load time, so
     # the spec class must resolve lazily to keep the layering acyclic.
     from repro.service.jobs import JobSpec
-    out: List[Optional[dict]] = [None] * len(wire_specs)
-    gang_ok = gang_enabled()
-    gang_points: List[tuple] = []
-    gang_digests: List[Optional[str]] = []
-    gang_indices: List[int] = []
-    for idx, wire in enumerate(wire_specs):
+    out: List[dict] = []
+    for wire in wire_specs:
         timeout_s = wire.get("_timeout_s")
         t0 = time.time()
         try:
             spec = JobSpec.from_wire(wire)
             digest, hit = lookup_point(spec.point())
-            if hit is None and gang_ok and timeout_s is None:
-                gang_points.append(spec.point())
-                gang_digests.append(digest)
-                gang_indices.append(idx)
-                continue
             with _alarm(timeout_s):
                 result = hit if hit is not None \
-                    else simulate_misses([spec.point()], [digest])[0]
+                    else simulate_miss(spec.point(), digest)
         except PointTimeout:
-            out[idx] = {"ok": False, "error": {
+            out.append({"ok": False, "error": {
                 "type": "timeout",
-                "message": f"point exceeded its {timeout_s}s budget"}}
+                "message": f"point exceeded its {timeout_s}s budget"}})
         except ValueError as exc:
-            out[idx] = {"ok": False, "error": {
-                "type": "bad-spec", "message": str(exc)}}
+            out.append({"ok": False, "error": {
+                "type": "bad-spec", "message": str(exc)}})
         else:
-            out[idx] = {"ok": True, "result": result,
+            out.append({"ok": True, "result": result,
                         "elapsed_s": time.time() - t0,
-                        "store_hit": hit is not None}
-    for group in _gang_groups(gang_points):
-        t0 = time.time()
-        results = simulate_misses([gang_points[g] for g in group],
-                                  [gang_digests[g] for g in group])
-        share = (time.time() - t0) / len(group)
-        for g, result in zip(group, results):
-            out[gang_indices[g]] = {"ok": True, "result": result,
-                                    "elapsed_s": share,
-                                    "store_hit": False}
-    return out  # type: ignore[return-value]
+                        "store_hit": hit is not None})
+    return out
 
 
 def lookup_point(spec: PointSpec
                  ) -> Tuple[Optional[str], Optional[SimResult]]:
     """Look one point up in the persistent store: ``(digest, result)``,
     with ``result`` ``None`` on a miss and both ``None`` when the store
-    is off.  A miss's digest is what :func:`simulate_misses` stores the
+    is off.  A miss's digest is what :func:`simulate_miss` stores the
     result under, so the point is looked up (and counted) only once."""
     store = get_store()
     if store is None:
@@ -266,43 +238,18 @@ def lookup_point(spec: PointSpec
     return digest, store.get(digest)
 
 
-def simulate_misses(specs: Sequence[PointSpec],
-                    digests: Sequence[Optional[str]]) -> List[SimResult]:
-    """Simulate points already known to miss the store and persist each
-    result under its digest (``None``: store off, nothing persisted).
-
-    One spec runs solo.  Several must be gang-compatible — identical
-    ``(benchmarks, length, seed, stop)``, any configs — and run as one
-    :class:`~repro.core.gang.GangEngine` sharing decoded traces.  If the
-    gang raises (e.g. one member deadlocks), every spec is re-run solo
-    so the failure is raised by — and attributed to — the offending
-    spec alone.
-    """
-    if len(specs) == 1:
-        config, benchmarks, length, seed, stop = specs[0]
-        results = [Pipeline(config, traces_for(benchmarks, length, seed)
-                            ).run(stop=stop)]
-    else:
-        try:
-            members = [Pipeline(config, traces_for(benchmarks, length, seed))
-                       for config, benchmarks, length, seed, _ in specs]
-            results = GangEngine(members, stop=specs[0][4]).run()
-        except Exception:  # repro-lint: waive=DET104
-            # Audited: nothing is swallowed — the solo replay re-runs
-            # every spec, so the failing member re-raises its exact
-            # exception with solo attribution, and its healthy
-            # gang-mates still produce (bit-identical) results.
-            return [simulate_misses([spec], [digest])[0]
-                    for spec, digest in zip(specs, digests)]
+def simulate_miss(spec: PointSpec, digest: Optional[str]) -> SimResult:
+    """Simulate a point already known to miss the store and persist the
+    result under its digest (``None``: store off, nothing persisted)."""
+    config, benchmarks, length, seed, stop = spec
+    result = Pipeline(config, traces_for(benchmarks, length, seed)
+                      ).run(stop=stop)
     store = get_store()
-    if store is not None:
-        for spec, digest, result in zip(specs, digests, results):
-            if digest is not None:
-                # the point tuple rides along so the store can write the
-                # meta sidecar and the warehouse row with full config
-                # columns.
-                store.put(digest, result, point=spec)
-    return results
+    if store is not None and digest is not None:
+        # the point tuple rides along so the store can write the meta
+        # sidecar and the warehouse row with full config columns.
+        store.put(digest, result, point=spec)
+    return result
 
 
 def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
@@ -316,56 +263,14 @@ def simulate_point(config: CoreConfig, benchmarks: Tuple[str, ...],
     digest, cached = lookup_point(spec)
     if cached is not None:
         return cached
-    return simulate_misses([spec], [digest])[0]
+    return simulate_miss(spec, digest)
 
 
-def simulate_gang(specs: Sequence[PointSpec]) -> List[SimResult]:
-    """Run gang-compatible specs (see :func:`simulate_misses`) through
-    the store: per-spec hits are honoured individually and the misses
-    simulate as one gang, persisted exactly as :func:`simulate_point`
-    would."""
-    results: List[Optional[SimResult]] = []
-    pending: List[int] = []
-    digests: List[Optional[str]] = []
-    for i, spec in enumerate(specs):
-        digest, cached = lookup_point(spec)
-        results.append(cached)
-        if cached is None:
-            pending.append(i)
-            digests.append(digest)
-    if pending:
-        simulated = simulate_misses([specs[i] for i in pending], digests)
-        for i, result in zip(pending, simulated):
-            results[i] = result
-    return results  # type: ignore[return-value]
-
-
-def _run_task(specs: Sequence[PointSpec], digests: Sequence[Optional[str]]
-              ) -> Tuple[List[SimResult], float]:
+def _run_task(spec: PointSpec, digest: Optional[str]
+              ) -> Tuple[SimResult, float]:
     t0 = time.time()
-    results = simulate_misses(specs, digests)
-    return results, time.time() - t0
-
-
-def _gang_groups(specs: Sequence[PointSpec]) -> List[List[int]]:
-    """Partition spec indices into gang-compatible chunks.
-
-    Specs sharing ``(benchmarks, length, seed, stop)`` — i.e. the same
-    traces and stop condition, whatever their configs — group together
-    in first-appearance order, chunked at :func:`gang_size` members.
-    Unique signatures come out as singletons and take the plain solo
-    paths.
-    """
-    by_signature: "OrderedDict[tuple, List[int]]" = OrderedDict()
-    for i, (config, benchmarks, length, seed, stop) in enumerate(specs):
-        by_signature.setdefault(
-            (benchmarks, length, seed, stop), []).append(i)
-    size = gang_size()
-    groups: List[List[int]] = []
-    for indices in by_signature.values():
-        for k in range(0, len(indices), size):
-            groups.append(indices[k:k + size])
-    return groups
+    result = simulate_miss(spec, digest)
+    return result, time.time() - t0
 
 
 def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
@@ -377,13 +282,11 @@ def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
     once: hits are yielded straight away (elapsed = the read time) and
     only the misses are dispatched, so every point is read and counted
     in this process's :func:`~repro.harness.runner.cache_stats` exactly
-    once.  Misses sharing a trace signature form one gang task when gang
-    mode is on (``REPRO_GANG``, default) — results bit-identical to
-    solo, per-spec elapsed reported as the gang's share — and every
-    other miss is a solo task.  With more than one task and ``jobs > 1``
-    the tasks run across a spawn-context process pool of at most one
-    worker per task and arrive in completion order; otherwise they run
-    serially in this process, so a fully warm grid spawns nothing.
+    once.  Each miss is one task.  With more than one miss and
+    ``jobs > 1`` the tasks run across a spawn-context process pool of at
+    most one worker per task and arrive in completion order; otherwise
+    they run serially in this process, so a fully warm grid spawns
+    nothing.
     Either way every point is yielded exactly once, so callers can
     checkpoint incrementally; yields may leave spec order even at
     ``jobs = 1``.
@@ -399,19 +302,12 @@ def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
         else:
             misses.append(i)
             digests[i] = digest
-    if gang_enabled() and len(misses) > 1:
-        tasks = [[misses[k] for k in group]
-                 for group in _gang_groups([specs[i] for i in misses])]
-    else:
-        tasks = [[i] for i in misses]
-    jobs = min(resolve_jobs(jobs), len(tasks))
+    jobs = min(resolve_jobs(jobs), len(misses))
     with interrupt_on_sigterm():
         if jobs <= 1:
-            for indices in tasks:
-                results, elapsed = _run_task([specs[i] for i in indices],
-                                             [digests[i] for i in indices])
-                for i, result in zip(indices, results):
-                    yield i, result, elapsed / len(indices)
+            for i in misses:
+                result, elapsed = _run_task(specs[i], digests[i])
+                yield i, result, elapsed
             return
         # spawn, not fork: workers re-import the package, so they are
         # safe regardless of parent threads and identical across
@@ -419,14 +315,11 @@ def run_points(specs: Iterable[PointSpec], jobs: Optional[int] = None
         ctx = multiprocessing.get_context("spawn")
         pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
         try:
-            futures = {pool.submit(_run_task, [specs[i] for i in indices],
-                                   [digests[i] for i in indices]): indices
-                       for indices in tasks}
+            futures = {pool.submit(_run_task, specs[i], digests[i]): i
+                       for i in misses}
             for future in as_completed(futures):
-                indices = futures[future]
-                results, elapsed = future.result()
-                for i, result in zip(indices, results):
-                    yield i, result, elapsed / len(indices)
+                result, elapsed = future.result()
+                yield futures[future], result, elapsed
         except BaseException:
             # KeyboardInterrupt / SIGTERM / a consumer abandoning the
             # generator: kill in-flight workers (before shutdown() —

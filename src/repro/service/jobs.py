@@ -137,9 +137,9 @@ class JobSpec:
 
         Grid neighbours — same workload mix, different configs — share
         this key, so rendezvous routing sends them to the same worker
-        node, whose trace memo and gang batches then serve the whole
-        neighbourhood.  Salt-stable and digest-free: the key never
-        depends on the result-store salt or any mode flag.
+        node, whose trace memo then serves the whole neighbourhood.
+        Salt-stable and digest-free: the key never depends on the
+        result-store salt or any mode flag.
         """
         return "|".join(("+".join(self.benchmarks), str(self.length),
                          str(self.seed), self.stop))
@@ -325,11 +325,7 @@ class JobQueue:
 
     # -- consumption -------------------------------------------------------
 
-    #: gang-aware ``take_batch`` looks at most this many entries past
-    #: ``max_n`` for signature matches, bounding the per-batch heap work.
-    GANG_SCAN_FACTOR = 8
-
-    def take_batch(self, max_n: int, gang: bool = False,
+    def take_batch(self, max_n: int,
                    mark_running: bool = True) -> List[Job]:
         """Pop up to *max_n* compatible jobs and mark them running.
 
@@ -341,52 +337,18 @@ class JobQueue:
         fleet dispatcher uses it to route jobs into per-node queues,
         where they are still *waiting* — they go RUNNING only when a
         worker actually leases them (see :meth:`mark_running`).
-
-        With ``gang=True`` the batch prefers jobs sharing the head
-        job's trace signature ``(benchmarks, length, seed, stop)``, so
-        the worker can form one simulation gang over shared decoded
-        traces: matching jobs are pulled from deeper in the queue
-        (bounded by :data:`GANG_SCAN_FACTOR`), then the batch is topped
-        up with the skipped jobs — which otherwise stay queued, in
-        their original order.
         """
         now = time.monotonic()
         with self._lock:
             if not self._heap:
                 return []
             batch = [heapq.heappop(self._heap)[2]]
-            if not gang:
-                while self._heap and len(batch) < max_n:
-                    head = self._heap[0][2]
-                    if head.priority != batch[0].priority or \
-                            head.timeout_s != batch[0].timeout_s:
-                        break
-                    batch.append(heapq.heappop(self._heap)[2])
-            else:
-                first = batch[0]
-                signature = (first.spec.benchmarks, first.spec.length,
-                             first.spec.seed, first.spec.stop)
-                skipped: List[tuple] = []
-                budget = max_n * self.GANG_SCAN_FACTOR
-                while self._heap and len(batch) < max_n and budget > 0:
-                    head = self._heap[0][2]
-                    if head.priority != first.priority or \
-                            head.timeout_s != first.timeout_s:
-                        break
-                    entry = heapq.heappop(self._heap)
-                    budget -= 1
-                    spec = head.spec
-                    if (spec.benchmarks, spec.length, spec.seed,
-                            spec.stop) == signature:
-                        batch.append(head)
-                    else:
-                        skipped.append(entry)
-                # top up with skipped (still-compatible) jobs, oldest
-                # first; the rest go back with their original seq keys.
-                while skipped and len(batch) < max_n:
-                    batch.append(skipped.pop(0)[2])
-                for entry in skipped:
-                    heapq.heappush(self._heap, entry)
+            while self._heap and len(batch) < max_n:
+                head = self._heap[0][2]
+                if head.priority != batch[0].priority or \
+                        head.timeout_s != batch[0].timeout_s:
+                    break
+                batch.append(heapq.heappop(self._heap)[2])
             if mark_running:
                 for job in batch:
                     job.state = JobState.RUNNING

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import multiprocessing
 
 from repro import envvars
-from repro.core.gang import gang_enabled
 # PointTimeout and _alarm moved to the executor with the batch body;
 # re-exported here because they are part of this module's historic API.
 from repro.harness.executor import (PointTimeout, _alarm,  # noqa: F401
@@ -74,7 +73,7 @@ def run_batch(wire_specs: List[dict]) -> List[dict]:
     crash-injection hook and keeps the historic
     ``repro.service.scheduler.run_batch`` name the spawn pool pickles.
     See :func:`~repro.harness.executor.execute_wire_batch` for the
-    outcome-dict contract and the gang fast path.
+    outcome-dict contract.
     """
     _maybe_crash()
     return execute_wire_batch(wire_specs)
@@ -216,11 +215,8 @@ class BatchScheduler:
             self._pool = None
 
     def _fill(self) -> None:
-        # gang=True biases each batch toward one trace signature so the
-        # worker-side gang path gets whole gangs, not fragments.
-        gang = gang_enabled()
         while len(self._inflight) < self.max_inflight:
-            batch = self.queue.take_batch(self.batch_size, gang=gang)
+            batch = self.queue.take_batch(self.batch_size)
             if not batch:
                 return
             self._submit(batch)

@@ -250,7 +250,6 @@ class ServiceServer:
                 info = registry.register(
                     str(payload.get("name", "worker")),
                     jobs=int(payload.get("jobs", 1)),
-                    gang=bool(payload.get("gang", True)),
                     shards=payload.get("shards") or [])
             except (TypeError, ValueError) as exc:
                 return 400, {"error": str(exc)}

@@ -3,7 +3,8 @@
 Covers: content digests, store round-trips and corruption tolerance,
 job-count resolution, serial-vs-parallel campaign determinism,
 resume-after-interrupt, zero-simulation replay from the store, store
-hits served before dispatch, and the two-level cache statistics.
+hits served before dispatch, one dispatch task per store miss, the
+per-process trace memo, and the two-level cache statistics.
 """
 
 import json
@@ -11,6 +12,7 @@ import os
 import pickle
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.harness.cache import ResultStore, point_digest
 from repro.harness.campaign import Campaign, CampaignPoint, standard_campaign
 from repro.harness.configs import base64_config, shelf_config
 from repro.harness.executor import resolve_jobs, run_points, simulate_point
+from repro.trace import generate
 
 MIXES = [("ilp.int8", "serial.alu"), ("branchy.easy", "gather.small")]
 
@@ -33,6 +36,15 @@ def isolated_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(store_dir))
     runner.clear_cache()
     yield store_dir
+    runner.clear_cache()
+
+
+@pytest.fixture
+def no_store(monkeypatch):
+    """Persistent store off + clean memo/caches around each test."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+    runner.clear_cache()
+    yield
     runner.clear_cache()
 
 
@@ -280,8 +292,7 @@ class TestCacheStats:
 
 
 def _distinct_specs():
-    """Three points with distinct trace signatures: three dispatch
-    tasks, even with gang mode on."""
+    """Three points with distinct trace signatures."""
     return [(base64_config(2), MIXES[0], 200, 0, "first"),
             (base64_config(2), MIXES[1], 200, 1, "first"),
             (shelf_config(2, shelf_entries=32), MIXES[0], 200, 2, "first")]
@@ -291,6 +302,28 @@ def _no_pool(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a worker pool was spawned")
     monkeypatch.setattr(executor, "ProcessPoolExecutor", boom)
+
+
+class _RecordingPool:
+    """In-process stand-in for the executor's process pool: runs each
+    submitted task at once and records the pool size and every task's
+    arguments."""
+
+    instances: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.max_workers = max_workers
+        self.tasks = []
+        _RecordingPool.instances.append(self)
+
+    def submit(self, fn, *args):
+        self.tasks.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class TestDispatchLookup:
@@ -322,23 +355,37 @@ class TestDispatchLookup:
 
     def test_single_miss_task_runs_in_process(self, isolated_store,
                                               monkeypatch):
-        monkeypatch.delenv("REPRO_GANG", raising=False)
-        # two misses sharing a trace signature (one gang task) and one
-        # stored point.
-        specs = [(base64_config(2), MIXES[0], 200, 0, "first"),
-                 (shelf_config(2, shelf_entries=32), MIXES[0], 200, 0,
-                  "first"),
-                 (base64_config(2), MIXES[1], 200, 1, "first")]
-        warm = simulate_point(*specs[2])
+        # one miss and two stored points: one task, so no pool at jobs=2.
+        specs = _distinct_specs()
+        warm = {i: simulate_point(*specs[i]) for i in (1, 2)}
         runner.clear_cache()
         _no_pool(monkeypatch)
         out = {i: result for i, result, _ in run_points(specs, jobs=2)}
         assert sorted(out) == [0, 1, 2]
-        assert pickle.dumps(out[2]) == pickle.dumps(warm)
+        for i, result in warm.items():
+            assert pickle.dumps(out[i]) == pickle.dumps(result)
         stats = runner.cache_stats()
-        assert stats["disk_hits"] == 1 and stats["disk_misses"] == 2
+        assert stats["disk_hits"] == 2 and stats["disk_misses"] == 1
         store = hcache.get_store()
         assert all(point_digest(*spec) in store for spec in specs)
+
+    def test_each_miss_is_one_task(self, isolated_store, monkeypatch):
+        # three cold points sharing one trace signature, configs apart.
+        specs = [(cfg, MIXES[0], 200, 0, "first")
+                 for cfg in (base64_config(2),
+                             shelf_config(2, shelf_entries=32),
+                             shelf_config(2, shelf_entries=16))]
+        _RecordingPool.instances = []
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", _RecordingPool)
+        out = {i: result for i, result, _ in run_points(specs, jobs=2)}
+        [pool] = _RecordingPool.instances
+        assert pool.max_workers == 2
+        assert [args[0] for args in pool.tasks] == specs
+        for i, (config, benchmarks, length, seed, stop) in enumerate(specs):
+            traces = [generate(b, length, seed + k)
+                      for k, b in enumerate(benchmarks)]
+            direct = Pipeline(config, traces).run(stop=stop)
+            assert pickle.dumps(out[i]) == pickle.dumps(direct)
 
     def test_store_lookup_does_not_import_the_fleet(self, tmp_path):
         env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
@@ -349,3 +396,51 @@ class TestDispatchLookup:
                 "assert get_store() is not None\n"
                 "assert 'repro.fleet' not in sys.modules\n")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+class TestTraceMemo:
+    """One ``generate()`` per distinct trace per process."""
+
+    def test_trace_memo_counts_generate_calls(self, no_store, monkeypatch):
+        calls = []
+
+        def counting_generate(bench, length, seed):
+            calls.append((bench, length, seed))
+            return generate(bench, length, seed)
+
+        monkeypatch.setattr(executor, "generate", counting_generate)
+
+        first = executor.traces_for(("ilp.int8", "mixed.int"), 200, 0)
+        assert len(calls) == 2         # one per distinct (bench, length, seed)
+        again = executor.traces_for(("ilp.int8", "mixed.int"), 200, 0)
+        assert len(calls) == 2         # all hits: no regeneration
+        assert all(a is b for a, b in zip(first, again))
+        # a 3-config "grid" over the same mix costs zero extra generates.
+        for _ in range(3):
+            executor.traces_for(("ilp.int8", "mixed.int"), 200, 0)
+        assert len(calls) == 2
+        stats = executor.trace_memo_stats()
+        assert stats["misses"] == 2 and stats["hits"] == 8
+        assert stats["entries"] == 2
+
+        executor.clear_trace_memo()
+        assert executor.trace_memo_stats() == {"entries": 0, "hits": 0,
+                                               "misses": 0}
+        executor.traces_for(("ilp.int8",), 200, 0)
+        assert len(calls) == 3         # regenerated after the clear
+
+    def test_trace_memo_is_bounded(self, no_store, monkeypatch):
+        monkeypatch.setattr(executor, "generate",
+                            lambda bench, length, seed: object())
+        for seed in range(executor._TRACE_MEMO_MAX + 10):
+            executor.traces_for(("ilp.int8",), 50, seed)
+        assert executor.trace_memo_stats()["entries"] == \
+            executor._TRACE_MEMO_MAX
+
+    def test_clear_cache_clears_trace_memo(self, no_store):
+        executor.traces_for(("ilp.int8",), 60, 0)
+        assert executor.trace_memo_stats()["entries"] == 1
+        runner.clear_cache()
+        assert executor.trace_memo_stats()["entries"] == 0
+        stats = runner.cache_stats()
+        assert "trace_entries" in stats and "trace_hits" in stats

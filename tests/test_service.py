@@ -6,9 +6,11 @@ leaks between tests (or into the developer's real store).
 """
 
 import asyncio
+import pickle
 import signal
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,9 +20,10 @@ from repro.harness.campaign import standard_campaign
 from repro.harness.configs import base64_config, shelf_config
 from repro.harness.executor import simulate_point
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import JobQueue, JobSpec, JobState, config_from_wire
+from repro.service.jobs import (JobQueue, JobSpec, JobState,
+                                config_from_wire, config_to_wire)
 from repro.service.metrics import ServiceMetrics
-from repro.service.scheduler import CRASH_ONCE_ENV, BatchScheduler
+from repro.service.scheduler import CRASH_ONCE_ENV, BatchScheduler, run_batch
 from repro.service.server import ServiceServer
 from repro.trace import generate
 from repro.trace.mixes import balanced_random_mixes
@@ -278,6 +281,38 @@ class TestScheduler:
         # than points proves coalescing happened.
         assert metrics.counters["batches"] < 4
         assert metrics.counters["executed_points"] == 4
+
+    def test_run_batch_mixed_outcomes(self, fresh_store):
+        """One batch of untimed points, a timed point and a bad spec:
+        every spec gets its own outcome, in order, and every result is
+        byte-identical to a solo run."""
+        base = shelf_config(1, steering="practical")
+        wires = []
+        for i in range(3):                   # untimed, one trace signature
+            wires.append({"config": config_to_wire(
+                replace(base, rob_entries=64 + 16 * i)),
+                "benchmarks": ["ilp.int8"], "length": 120, "seed": 0,
+                "stop": "first"})
+        wires.append({"config": config_to_wire(base),  # another signature
+                      "benchmarks": ["mixed.int"], "length": 120,
+                      "seed": 0, "stop": "first"})
+        wires.append({"config": config_to_wire(base),  # timed
+                      "benchmarks": ["ilp.int8"], "length": 120, "seed": 3,
+                      "stop": "first", "_timeout_s": 60.0})
+        wires.append({"config": config_to_wire(base),  # bad spec
+                      "benchmarks": ["no.such.bench"], "length": 120,
+                      "seed": 0, "stop": "first"})
+
+        out = run_batch(wires)
+        assert len(out) == len(wires)
+        for o in out[:5]:
+            assert o["ok"], o
+        assert not out[5]["ok"] and out[5]["error"]["type"] == "bad-spec"
+        for o, wire in zip(out[:5], wires[:5]):
+            solo = Pipeline(JobSpec.from_wire(wire).config,
+                            [generate(wire["benchmarks"][0], wire["length"],
+                                      wire["seed"])]).run(stop=wire["stop"])
+            assert pickle.dumps(o["result"]) == pickle.dumps(solo)
 
 
 # ---------------------------------------------------------------------------
