@@ -44,14 +44,16 @@ _ROUNDS = 3
 #: The bench matrix.  ``length_mult`` scales the per-thread trace length
 #: relative to the harness scale — the compute-bound case runs longer so
 #: one-time setup (lane allocation, cache warmup) amortizes the way it
-#: does in real experiments.
+#: does in real experiments, and the pointer chase runs longer so its
+#: lanes time (a few hundredths of a second at 1x) is long enough for
+#: its gated ratio to hold still between runs.
 _CASES = (
     {
         "name": "pchase.mem",
         "kind": "latency-bound",
         "workloads": ("pchase.mem",),
         "config": {"num_threads": 1},
-        "length_mult": 1,
+        "length_mult": 4,
     },
     {
         "name": "ilp.int8",

@@ -10,8 +10,7 @@ Subcommands:
 * ``lint``         run the determinism lint over the codebase;
 * ``check``        lint + the slot/lane/async/digest contract passes;
 * ``cache``        inspect / garbage-collect the persistent result store;
-* ``serve``        run the simulation service (queue + worker fleet);
-* ``worker``       join a fleet coordinator as a worker node;
+* ``serve``        run the simulation service (queue + worker pool);
 * ``submit``       submit a simulation to a running service;
 * ``query``        filter/project/aggregate the result warehouse;
 * ``diff``         compare two campaigns point by point;
@@ -319,15 +318,7 @@ def _cmd_serve(args) -> int:
                  retry_backoff_s=args.retry_backoff,
                  default_timeout_s=args.timeout,
                  max_queue_depth=args.max_queue_depth,
-                 drain_timeout_s=args.drain_timeout,
-                 fleet=args.fleet, dashboard=args.dashboard)
-
-
-def _cmd_worker(args) -> int:
-    from repro.fleet.worker import worker_main
-    return worker_main(args.connect, name=args.name, jobs=args.jobs,
-                       max_points=args.max_points,
-                       idle_exit_s=args.idle_exit)
+                 drain_timeout_s=args.drain_timeout)
 
 
 def _cmd_submit(args) -> int:
@@ -552,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     srv = sub.add_parser("serve",
                          help="run the simulation service "
-                              "(queue + batching worker fleet)")
+                              "(queue + batching worker pool)")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8642,
                      help="listen port (0 = ephemeral)")
@@ -574,30 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--drain-timeout", type=float, default=30.0,
                      metavar="S",
                      help="max seconds to drain on SIGTERM/SIGINT")
-    srv.add_argument("--fleet", action="store_true",
-                     help="run as a fleet coordinator: jobs are leased "
-                          "to registered worker nodes (repro worker) "
-                          "instead of a local process pool")
-    srv.add_argument("--dashboard", action="store_true",
-                     help="serve the browser dashboard at /dashboard")
     srv.set_defaults(func=_cmd_serve)
-
-    wk = sub.add_parser("worker",
-                        help="join a fleet coordinator as a worker node")
-    wk.add_argument("--connect", required=True, metavar="HOST:PORT",
-                    help="coordinator address (repro serve --fleet)")
-    wk.add_argument("--name", default=None,
-                    help="node label (default: $REPRO_FLEET_NODE or "
-                         "host-pid)")
-    wk.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="local simulation slots reported to the "
-                         "coordinator")
-    wk.add_argument("--max-points", type=int, default=4, metavar="N",
-                    help="max points requested per lease")
-    wk.add_argument("--idle-exit", type=float, default=None, metavar="S",
-                    help="exit after this long with no work (default: "
-                         "serve forever)")
-    wk.set_defaults(func=_cmd_worker)
 
     sb = sub.add_parser("submit",
                         help="submit a simulation to a running service")

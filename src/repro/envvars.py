@@ -94,44 +94,6 @@ REGISTRY: Dict[str, EnvVar] = {var.name: var for var in (
         "and kills its own process with os._exit(3), exercising the "
         "BrokenProcessPool retry path end to end.  Never set this in "
         "production."),
-    EnvVar(
-        "REPRO_FLEET_DIR", None, "path",
-        "Root of the fleet's digest-prefix-sharded result store.  When "
-        "set, get_store() returns a repro.fleet.ShardedStore over "
-        "<dir>/shard-NN instead of a flat ResultStore: blobs live on "
-        "exactly one shard (routed by digest prefix), warehouse index "
-        "rows are replicated to every shard.  A deployment knob like "
-        "REPRO_CACHE_DIR — never part of result digests."),
-    EnvVar(
-        "REPRO_FLEET_SHARDS", "4", "int",
-        "Number of digest-prefix shards under REPRO_FLEET_DIR "
-        "(default 4).  Must be consistent across every node mounting "
-        "the same fleet dir; routing is digest-prefix modulo this "
-        "count.  Never part of result digests."),
-    EnvVar(
-        "REPRO_FLEET_NODE", None, "str",
-        "Worker-node name override for `repro worker` (default: "
-        "host-pid derived).  A pure label for registration, leases, "
-        "and /fleet/nodes — never part of result digests."),
-    EnvVar(
-        "REPRO_FLEET_HEARTBEAT_S", "2", "float",
-        "Fleet heartbeat interval in seconds (default 2).  Workers "
-        "POST /fleet/heartbeat this often; the coordinator declares a "
-        "node dead after 3 missed intervals and re-queues its in-"
-        "flight jobs.  Never part of result digests."),
-    EnvVar(
-        "REPRO_FLEET_LEASE_S", "60", "float",
-        "Per-point lease budget in seconds (default 60).  A leased "
-        "batch whose worker neither completes nor heartbeats within "
-        "points * lease_s is revoked and re-queued exactly once.  "
-        "Never part of result digests."),
-    EnvVar(
-        "REPRO_FLEET_CRASH_ONCE", None, "path",
-        "Test-only fault injection for fleet workers: a file path.  "
-        "When the file exists, the next leased batch deletes it and "
-        "kills the worker process with os._exit(3) mid-batch, "
-        "exercising lease expiry and exactly-once re-queue end to "
-        "end.  Never set this in production."),
 )}
 
 

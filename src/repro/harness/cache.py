@@ -421,35 +421,12 @@ def store_dir() -> Optional[Path]:
     return base / "repro-sim"
 
 
-def fleet_dir() -> Optional[Path]:
-    """The fleet store root from ``$REPRO_FLEET_DIR`` (None = no fleet)."""
-    env = envvars.raw("REPRO_FLEET_DIR")
-    if env is None or env.strip().lower() in envvars.OFF_VALUES:
-        return None
-    return Path(env).expanduser()
-
-
 def get_store() -> Optional[ResultStore]:
-    """The process-wide store handle, or ``None`` when caching is off.
-
-    When ``$REPRO_FLEET_DIR`` is set the handle is a
-    :class:`repro.fleet.ShardedStore` (the digest-prefix-sharded fleet
-    store, a drop-in for :class:`ResultStore`); otherwise the flat
-    single-directory store.  Both selections are deployment knobs and
-    never influence digests."""
+    """The process-wide store handle, or ``None`` when caching is off."""
     global _store, _store_resolved
     if not _store_resolved:
-        fleet_root = fleet_dir()
-        if fleet_root is not None:
-            # imported only here: repro.fleet sits above the harness
-            # layer and pulls in the service, which a local run never
-            # needs.
-            from repro.fleet.shards import ShardedStore
-            _store = ShardedStore(fleet_root)
-        else:
-            directory = store_dir()
-            _store = ResultStore(directory) if directory is not None \
-                else None
+        directory = store_dir()
+        _store = ResultStore(directory) if directory is not None else None
         _store_resolved = True
     return _store
 

@@ -163,68 +163,6 @@ def interrupt_on_sigterm():
         signal.signal(signal.SIGTERM, previous)
 
 
-class PointTimeout(Exception):
-    """Raised inside a worker when a point exceeds its time budget."""
-
-
-@contextlib.contextmanager
-def _alarm(seconds: Optional[float]):
-    """Run the body under a real-time interval timer (worker-side)."""
-    if not seconds or not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def _timeout(signum, frame):
-        raise PointTimeout
-
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def execute_wire_batch(wire_specs: List[dict]) -> List[dict]:
-    """Simulate a batch of wire-format job specs (the shared body of
-    the service pool's ``run_batch`` and the fleet worker's lease loop).
-
-    Returns one outcome dict per spec, in order:
-
-    * ``{"ok": True, "result": SimResult, "elapsed_s": float,
-      "store_hit": bool}`` — simulated (or loaded from the persistent
-      store) successfully;
-    * ``{"ok": False, "error": {...}}`` — the point timed out or its
-      spec failed validation; the rest of the batch still runs.
-    """
-    # late import: repro.service imports this module at load time, so
-    # the spec class must resolve lazily to keep the layering acyclic.
-    from repro.service.jobs import JobSpec
-    out: List[dict] = []
-    for wire in wire_specs:
-        timeout_s = wire.get("_timeout_s")
-        t0 = time.time()
-        try:
-            spec = JobSpec.from_wire(wire)
-            digest, hit = lookup_point(spec.point())
-            with _alarm(timeout_s):
-                result = hit if hit is not None \
-                    else simulate_miss(spec.point(), digest)
-        except PointTimeout:
-            out.append({"ok": False, "error": {
-                "type": "timeout",
-                "message": f"point exceeded its {timeout_s}s budget"}})
-        except ValueError as exc:
-            out.append({"ok": False, "error": {
-                "type": "bad-spec", "message": str(exc)}})
-        else:
-            out.append({"ok": True, "result": result,
-                        "elapsed_s": time.time() - t0,
-                        "store_hit": hit is not None})
-    return out
-
-
 def lookup_point(spec: PointSpec
                  ) -> Tuple[Optional[str], Optional[SimResult]]:
     """Look one point up in the persistent store: ``(digest, result)``,

@@ -4,8 +4,8 @@ Turns the batch reproduction into a long-lived servable system in the
 shape of an inference-serving stack: requests (simulation points) are
 queued with priorities, deduplicated against the content-addressed
 result store and against identical in-flight work, coalesced into
-batches for a bounded worker-process fleet, and observable through a
-metrics endpoint.  See ``docs/service.md``.
+batches for a bounded pool of worker processes, and observable through
+a metrics endpoint.  See ``docs/service.md``.
 
 Quick start::
 

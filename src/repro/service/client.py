@@ -1,20 +1,19 @@
 """Synchronous client for the simulation service (stdlib ``http.client``).
 
 Used by ``python -m repro submit``, by :meth:`Campaign.run(service=...)
-<repro.harness.campaign.Campaign.run>`, by fleet worker nodes, and by
-tests/CI.  One connection per request (the server is ``Connection:
-close``), JSON both ways.
+<repro.harness.campaign.Campaign.run>`, and by tests/CI.  One
+connection per request (the server is ``Connection: close``), JSON
+both ways.
 
 Connection-level failures retry with **exponential backoff and
 deterministic jitter**: the delay before attempt *k* is ``backoff_s x
 2^k`` scaled by a factor in [0.5, 1.0) derived from
-``sha256(jitter_key:attempt)``.  Each client seeds *jitter_key* with
-its own identity (fleet workers use their node name; the default is
-the target ``host:port``), so a fleet of clients retrying against a
-recovering coordinator fans out across half the exponential step
-instead of thundering in lockstep — while any single client's schedule
-is exactly reproducible.  The jitter source is a hash, not a PRNG, so
-the schedule is deterministic and DET101-clean.
+``sha256(jitter_key:attempt)``.  The key defaults to the target
+``host:port``; clients given distinct keys retrying against a
+recovering server fan out across half the exponential step instead of
+thundering in lockstep — while any single client's schedule is exactly
+reproducible.  The jitter source is a hash, not a PRNG, so the
+schedule is deterministic and DET101-clean.
 """
 
 from __future__ import annotations
@@ -202,34 +201,3 @@ class ServiceClient:
                              timeout_s=timeout_s)["job_id"]
         self.wait(job_id, timeout_s=wait_timeout_s)
         return self.result(job_id)
-
-    # -- fleet protocol (worker side; coordinator must run --fleet) --------
-
-    def fleet_register(self, name: str, jobs: int = 1,
-                       shards: Optional[Sequence[int]] = None) -> dict:
-        """Register this process as a worker node; the response carries
-        ``node_id`` plus the fleet store topology to mount."""
-        return self._request("POST", "/fleet/register", {
-            "name": name, "jobs": jobs,
-            "shards": list(shards or [])})[1]
-
-    def fleet_heartbeat(self, node_id: str) -> dict:
-        return self._request("POST", "/fleet/heartbeat",
-                             {"node_id": node_id})[1]
-
-    def fleet_lease(self, node_id: str,
-                    max_points: Optional[int] = None) -> Optional[dict]:
-        """Ask for work; None when the coordinator has nothing."""
-        doc = self._request("POST", "/fleet/lease", {
-            "node_id": node_id, "max_points": max_points})[1]
-        return doc if doc.get("lease_id") else None
-
-    def fleet_complete(self, node_id: str, lease_id: str,
-                       outcomes: List[dict]) -> dict:
-        return self._request("POST", "/fleet/complete", {
-            "node_id": node_id, "lease_id": lease_id,
-            "outcomes": outcomes})[1]
-
-    def fleet_nodes(self) -> dict:
-        """The coordinator's ``GET /fleet/nodes`` document."""
-        return self._request("GET", "/fleet/nodes")[1]

@@ -132,18 +132,6 @@ class JobSpec:
         return point_key(self.config.label(), "+".join(self.benchmarks),
                          self.length, self.seed, self.stop)
 
-    def locality_key(self) -> str:
-        """Fleet routing key: the trace signature, *without* the config.
-
-        Grid neighbours — same workload mix, different configs — share
-        this key, so rendezvous routing sends them to the same worker
-        node, whose trace memo then serves the whole neighbourhood.
-        Salt-stable and digest-free: the key never depends on the
-        result-store salt or any mode flag.
-        """
-        return "|".join(("+".join(self.benchmarks), str(self.length),
-                         str(self.seed), self.stop))
-
     def to_wire(self) -> dict:
         return {
             "config": config_to_wire(self.config),
@@ -325,18 +313,12 @@ class JobQueue:
 
     # -- consumption -------------------------------------------------------
 
-    def take_batch(self, max_n: int,
-                   mark_running: bool = True) -> List[Job]:
+    def take_batch(self, max_n: int) -> List[Job]:
         """Pop up to *max_n* compatible jobs and mark them running.
 
         Compatibility: identical priority and per-job timeout, so one
         worker batch has a single well-defined deadline and never mixes
         priorities.  Returns ``[]`` when the queue is empty.
-
-        ``mark_running=False`` pops without flipping job state: the
-        fleet dispatcher uses it to route jobs into per-node queues,
-        where they are still *waiting* — they go RUNNING only when a
-        worker actually leases them (see :meth:`mark_running`).
         """
         now = time.monotonic()
         with self._lock:
@@ -349,19 +331,10 @@ class JobQueue:
                         head.timeout_s != batch[0].timeout_s:
                     break
                 batch.append(heapq.heappop(self._heap)[2])
-            if mark_running:
-                for job in batch:
-                    job.state = JobState.RUNNING
-                    job.started_at = now
-        return batch
-
-    def mark_running(self, jobs: List[Job]) -> None:
-        """Flip routed jobs to RUNNING at lease time (fleet path)."""
-        now = time.monotonic()
-        with self._lock:
-            for job in jobs:
+            for job in batch:
                 job.state = JobState.RUNNING
                 job.started_at = now
+        return batch
 
     # -- resolution --------------------------------------------------------
 

@@ -44,13 +44,6 @@ class ServiceMetrics:
             "retries": 0,
             "worker_crashes": 0,
             "timeouts": 0,
-            # fleet-mode counters (all zero under the local scheduler)
-            "fleet_dispatched": 0,     #: points leased to worker nodes
-            "fleet_steals": 0,         #: leases served by work-stealing
-            "fleet_requeued": 0,       #: points re-queued from revoked leases
-            "fleet_leases_expired": 0,
-            "fleet_node_failures": 0,  #: nodes reaped for missed heartbeats
-            "fleet_stale_reports": 0,  #: late/duplicate completion reports
         }
         self._latencies: deque = deque(maxlen=reservoir)
         self._completions: deque = deque()  #: monotonic finish stamps
@@ -96,12 +89,8 @@ class ServiceMetrics:
                 self._completions.popleft()
 
     def snapshot(self, queue: JobQueue, inflight: int,
-                 draining: bool = False,
-                 fleet: Optional[dict] = None) -> dict:
-        """The ``GET /metrics`` document.  *fleet*, when the server
-        runs a :class:`~repro.fleet.FleetDispatcher`, is its
-        ``status()`` document and adds a ``fleet`` section (node count,
-        routed depth) on top of the flat counters."""
+                 draining: bool = False) -> dict:
+        """The ``GET /metrics`` document."""
         now = time.monotonic()
         with self._lock:
             counters = dict(self.counters)
@@ -114,7 +103,7 @@ class ServiceMetrics:
         submitted = counters["jobs_submitted"]
         served_from_cache = queue.cache_hits + queue.dedup_hits + \
             counters["worker_store_hits"]
-        doc = {
+        return {
             "uptime_s": uptime,
             "draining": draining,
             "queue_depth": queue.depth,
@@ -129,15 +118,3 @@ class ServiceMetrics:
             "campaigns_tracked": campaigns_tracked,
             **counters,
         }
-        if fleet is not None:
-            nodes = fleet.get("nodes", [])
-            doc["fleet"] = {
-                "nodes": len(nodes),
-                "nodes_alive": sum(1 for n in nodes if n.get("alive")),
-                "routed": fleet.get("routed_total", 0),
-                "leases": len(fleet.get("leases", [])),
-            }
-            # routed jobs are still waiting for a worker: surface them
-            # in the headline depth so dashboards see real backlog.
-            doc["queue_depth"] += fleet.get("routed_total", 0)
-        return doc

@@ -1,4 +1,4 @@
-"""Batching scheduler: feeds queued jobs to a worker process fleet.
+"""Batching scheduler: feeds queued jobs to a pool of worker processes.
 
 The :class:`BatchScheduler` owns a spawn-context
 :class:`~concurrent.futures.ProcessPoolExecutor` and runs a small
@@ -20,17 +20,19 @@ control loop on a background thread:
    the affected batch: the pool is rebuilt and the batch's jobs are
    requeued after an exponential backoff, up to ``max_retries`` per job.
 
-Workers simulate through
-:func:`repro.harness.executor.execute_wire_batch`, so every completed
-point lands in the persistent result store and is a
-disk hit for every later request, service-side or not.
+Workers run :func:`run_batch`, which simulates through the harness
+executor's store lookup, so every completed point lands in the
+persistent result store and is a disk hit for every later request,
+service-side or not.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import os
+import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,11 +42,9 @@ from typing import Dict, List, Optional, Set, Tuple
 import multiprocessing
 
 from repro import envvars
-# PointTimeout and _alarm moved to the executor with the batch body;
-# re-exported here because they are part of this module's historic API.
-from repro.harness.executor import (PointTimeout, _alarm,  # noqa: F401
-                                    execute_wire_batch, terminate_workers)
-from repro.service.jobs import Job, JobQueue
+from repro.harness.executor import (lookup_point, simulate_miss,
+                                    terminate_workers)
+from repro.service.jobs import Job, JobQueue, JobSpec
 from repro.service.metrics import ServiceMetrics
 
 #: test-only fault injection: a path; when the file exists, the next
@@ -64,19 +64,63 @@ def _maybe_crash() -> None:
         os._exit(3)
 
 
-def run_batch(wire_specs: List[dict]) -> List[dict]:
-    """Worker entry point: simulate a batch of points.
+class PointTimeout(Exception):
+    """Raised inside a worker when a point exceeds its time budget."""
 
-    The execution body lives in
-    :func:`repro.harness.executor.execute_wire_batch` (shared with the
-    fleet worker's lease loop); this wrapper adds the service pool's
-    crash-injection hook and keeps the historic
-    ``repro.service.scheduler.run_batch`` name the spawn pool pickles.
-    See :func:`~repro.harness.executor.execute_wire_batch` for the
-    outcome-dict contract.
+
+@contextlib.contextmanager
+def _alarm(seconds: Optional[float]):
+    """Run the body under a real-time interval timer (worker-side)."""
+    if not seconds or not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def _timeout(signum, frame):
+        raise PointTimeout
+
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_batch(wire_specs: List[dict]) -> List[dict]:
+    """Worker entry point: simulate a batch of wire-format job specs.
+
+    Returns one outcome dict per spec, in order:
+
+    * ``{"ok": True, "result": SimResult, "elapsed_s": float,
+      "store_hit": bool}`` — simulated (or loaded from the persistent
+      store) successfully;
+    * ``{"ok": False, "error": {...}}`` — the point timed out or its
+      spec failed validation; the rest of the batch still runs.
     """
     _maybe_crash()
-    return execute_wire_batch(wire_specs)
+    out: List[dict] = []
+    for wire in wire_specs:
+        timeout_s = wire.get("_timeout_s")
+        t0 = time.time()
+        try:
+            spec = JobSpec.from_wire(wire)
+            digest, hit = lookup_point(spec.point())
+            with _alarm(timeout_s):
+                result = hit if hit is not None \
+                    else simulate_miss(spec.point(), digest)
+        except PointTimeout:
+            out.append({"ok": False, "error": {
+                "type": "timeout",
+                "message": f"point exceeded its {timeout_s}s budget"}})
+        except ValueError as exc:
+            out.append({"ok": False, "error": {
+                "type": "bad-spec", "message": str(exc)}})
+        else:
+            out.append({"ok": True, "result": result,
+                        "elapsed_s": time.time() - t0,
+                        "store_hit": hit is not None})
+    return out
 
 
 class BatchScheduler:

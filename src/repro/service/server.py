@@ -20,16 +20,7 @@ streams — one request per connection, JSON in and out:
                           the warehouse's completion counts and rolling
                           metric summaries (see :mod:`repro.warehouse`).
 ``GET /healthz``          liveness (+ ``draining`` flag).
-``GET /dashboard``        the browser dashboard (``--dashboard`` only): a
-                          self-contained HTML page polling the JSON
-                          endpoints above.
 ========================  ==================================================
-
-With ``fleet=True`` (``repro serve --fleet``) the local process-pool
-scheduler is replaced by a :class:`~repro.fleet.FleetDispatcher` and
-the worker protocol appears under ``/fleet/*``: ``POST register`` /
-``heartbeat`` / ``lease`` / ``complete`` and ``GET /fleet/nodes``.
-Every public endpoint behaves identically in both modes.
 
 On SIGTERM/SIGINT the server stops accepting jobs (503), lets the
 scheduler drain queued and in-flight work (bounded by
@@ -68,28 +59,19 @@ class ServiceServer:
                  max_retries: int = 2, retry_backoff_s: float = 0.25,
                  default_timeout_s: Optional[float] = None,
                  max_queue_depth: int = 1024,
-                 drain_timeout_s: float = 30.0,
-                 fleet: bool = False, dashboard: bool = False) -> None:
+                 drain_timeout_s: float = 30.0) -> None:
         self.host = host
         self.port = port
         self.max_queue_depth = max_queue_depth
         self.drain_timeout_s = drain_timeout_s
-        self.fleet = fleet
-        self.dashboard = dashboard
         self.metrics = ServiceMetrics()
         self.queue = JobQueue(store=get_store(),
                               on_finish=self.metrics.job_finished)
-        if fleet:
-            from repro.fleet import FleetDispatcher
-            self.scheduler = FleetDispatcher(
-                self.queue, metrics=self.metrics,
-                batch_size=batch_size, max_retries=max_retries)
-        else:
-            self.scheduler = BatchScheduler(
-                self.queue, metrics=self.metrics, workers=workers,
-                batch_size=batch_size, max_inflight=max_inflight,
-                max_retries=max_retries, retry_backoff_s=retry_backoff_s,
-                default_timeout_s=default_timeout_s)
+        self.scheduler = BatchScheduler(
+            self.queue, metrics=self.metrics, workers=workers,
+            batch_size=batch_size, max_inflight=max_inflight,
+            max_retries=max_retries, retry_backoff_s=retry_backoff_s,
+            default_timeout_s=default_timeout_s)
         self.draining = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -145,16 +127,9 @@ class ServiceServer:
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.TimeoutError, UnicodeDecodeError, ValueError):
             status, payload = 400, {"error": "malformed request"}
-        # routes return dicts (JSON) except the dashboard, whose
-        # payload is the finished HTML page as a str.
-        if isinstance(payload, str):
-            body = payload.encode("utf-8")
-            ctype = "text/html; charset=utf-8"
-        else:
-            body = json.dumps(payload).encode()
-            ctype = "application/json"
+        body = json.dumps(payload).encode()
         head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                f"Content-Type: {ctype}\r\n"
+                f"Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
                 f"Connection: close\r\n\r\n").encode()
         try:
@@ -191,25 +166,13 @@ class ServiceServer:
     def _route(self, method: str, path: str, body: bytes
                ) -> Tuple[int, dict]:
         if path == "/healthz" and method == "GET":
-            return 200, {"status": "draining" if self.draining else "ok",
-                         "fleet": self.fleet}
+            return 200, {"status": "draining" if self.draining else "ok"}
         if path == "/metrics" and method == "GET":
-            fleet = self.scheduler.status() if self.fleet else None
             return 200, self.metrics.snapshot(
                 self.queue, self.scheduler.inflight,
-                draining=self.draining, fleet=fleet)
+                draining=self.draining)
         if path == "/campaigns" and method == "GET":
             return 200, self._campaigns()
-        if path == "/dashboard" and self.dashboard:
-            if method != "GET":
-                return 405, {"error": "method not allowed"}
-            from repro.fleet.dashboard import render_dashboard
-            return 200, render_dashboard()
-        if path.startswith("/fleet/"):
-            if not self.fleet:
-                return 404, {"error": "not a fleet coordinator "
-                                      "(start with --fleet)"}
-            return self._fleet_route(method, path, body)
         if path == "/jobs" and method == "POST":
             return self._submit(body)
         if path.startswith("/jobs/"):
@@ -225,65 +188,6 @@ class ServiceServer:
             if tail == "result":
                 return self._result(job)
             return 404, {"error": f"no such endpoint {path!r}"}
-        return 404, {"error": f"no such endpoint {path!r}"}
-
-    def _fleet_route(self, method: str, path: str, body: bytes
-                     ) -> Tuple[int, dict]:
-        """The worker protocol (see :mod:`repro.fleet`)."""
-        if path == "/fleet/nodes":
-            if method != "GET":
-                return 405, {"error": "method not allowed"}
-            return 200, self.scheduler.status()
-        if method != "POST":
-            return 405, {"error": "method not allowed"}
-        try:
-            payload = json.loads(body.decode() or "{}")
-            if not isinstance(payload, dict):
-                raise ValueError("fleet payload must be a JSON object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            return 400, {"error": str(exc)}
-        registry = self.scheduler.registry
-        if path == "/fleet/register":
-            if self.draining:
-                return 503, {"error": "service is draining"}
-            try:
-                info = registry.register(
-                    str(payload.get("name", "worker")),
-                    jobs=int(payload.get("jobs", 1)),
-                    shards=payload.get("shards") or [])
-            except (TypeError, ValueError) as exc:
-                return 400, {"error": str(exc)}
-            self.scheduler.kick()
-            from repro.fleet import fleet_dir, fleet_shard_count
-            root = fleet_dir()
-            return 201, {
-                "node_id": info.node_id,
-                "heartbeat_s": registry.heartbeat_s,
-                "lease_s": self.scheduler.lease_s,
-                "fleet": {"dir": str(root) if root else None,
-                          "shards": fleet_shard_count()},
-            }
-        node_id = str(payload.get("node_id", ""))
-        if path == "/fleet/heartbeat":
-            return 200, {"known": registry.heartbeat(node_id)}
-        if path == "/fleet/lease":
-            max_points = payload.get("max_points")
-            try:
-                lease = self.scheduler.lease(
-                    node_id,
-                    int(max_points) if max_points is not None else None)
-            except KeyError:
-                return 404, {"error": f"unknown node {node_id!r}; "
-                                      f"re-register"}
-            except (TypeError, ValueError) as exc:
-                return 400, {"error": str(exc)}
-            return 200, lease if lease is not None else {"lease_id": None}
-        if path == "/fleet/complete":
-            outcomes = payload.get("outcomes")
-            if not isinstance(outcomes, list):
-                return 400, {"error": "outcomes must be a list"}
-            return 200, self.scheduler.complete(
-                node_id, str(payload.get("lease_id", "")), outcomes)
         return 404, {"error": f"no such endpoint {path!r}"}
 
     def _campaigns(self) -> dict:
@@ -353,21 +257,11 @@ async def run_server(**kwargs) -> int:
         if hasattr(signal, signame):
             loop.add_signal_handler(getattr(signal, signame),
                                     server._begin_drain)
-    if server.fleet:
-        print(f"repro fleet coordinator listening on "
-              f"http://{server.host}:{server.port} "
-              f"(batch={server.scheduler.batch_size}, "
-              f"lease={server.scheduler.lease_s}s"
-              f"{', dashboard=/dashboard' if server.dashboard else ''})",
-              flush=True)
-    else:
-        print(f"repro service listening on "
-              f"http://{server.host}:{server.port} "
-              f"(workers={server.scheduler.workers}, "
-              f"batch={server.scheduler.batch_size}, "
-              f"window={server.scheduler.max_inflight}"
-              f"{', dashboard=/dashboard' if server.dashboard else ''})",
-              flush=True)
+    print(f"repro service listening on "
+          f"http://{server.host}:{server.port} "
+          f"(workers={server.scheduler.workers}, "
+          f"batch={server.scheduler.batch_size}, "
+          f"window={server.scheduler.max_inflight})", flush=True)
     await server.wait_closed()
     print("repro service drained, exiting", flush=True)
     return 0

@@ -8,10 +8,7 @@ per-process trace memo, and the two-level cache statistics.
 """
 
 import json
-import os
 import pickle
-import subprocess
-import sys
 from concurrent.futures import Future
 
 import pytest
@@ -386,16 +383,6 @@ class TestDispatchLookup:
                       for k, b in enumerate(benchmarks)]
             direct = Pipeline(config, traces).run(stop=stop)
             assert pickle.dumps(out[i]) == pickle.dumps(direct)
-
-    def test_store_lookup_does_not_import_the_fleet(self, tmp_path):
-        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        env.pop("REPRO_FLEET_DIR", None)
-        code = ("import sys\n"
-                "from repro.harness.cache import get_store\n"
-                "assert get_store() is not None\n"
-                "assert 'repro.fleet' not in sys.modules\n")
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestTraceMemo:

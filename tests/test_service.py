@@ -1,4 +1,5 @@
-"""Tests for the simulation service layer (queue, scheduler, server).
+"""Tests for the simulation service layer (queue, scheduler, server,
+client).
 
 Scheduler and server tests spawn real worker processes; each test gets
 its own throwaway persistent store via ``REPRO_CACHE_DIR`` so nothing
@@ -6,8 +7,11 @@ leaks between tests (or into the developer's real store).
 """
 
 import asyncio
+import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -19,7 +23,7 @@ from repro.harness.cache import get_store, point_digest, reset_store
 from repro.harness.campaign import standard_campaign
 from repro.harness.configs import base64_config, shelf_config
 from repro.harness.executor import simulate_point
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ServiceClient, ServiceError, backoff_delay
 from repro.service.jobs import (JobQueue, JobSpec, JobState,
                                 config_from_wire, config_to_wire)
 from repro.service.metrics import ServiceMetrics
@@ -184,7 +188,7 @@ class TestJobQueue:
 
 
 # ---------------------------------------------------------------------------
-# Scheduler (worker fleet, no HTTP)
+# Scheduler (worker pool, no HTTP)
 # ---------------------------------------------------------------------------
 
 class TestScheduler:
@@ -247,6 +251,46 @@ class TestScheduler:
             assert sched.stop(drain=True, timeout=30)
         assert job.state == JobState.FAILED
         assert job.error["type"] == "worker-crash"
+
+    def test_crash_mid_batch_loses_and_repeats_no_job(
+            self, fresh_store, tmp_path, monkeypatch):
+        """Six points over one mix in batches of four: the injected
+        crash kills the first batch's worker mid-flight, yet every job
+        finishes exactly once, byte-identical to a direct run."""
+        token = tmp_path / "crash-once"
+        token.touch()
+        monkeypatch.setenv(CRASH_ONCE_ENV, str(token))
+        queue, sched, metrics = self._scheduler(batch_size=4)
+        finished = []
+
+        def on_finish(job, record=queue.on_finish):
+            finished.append(job.job_id)
+            record(job)
+
+        queue.on_finish = on_finish
+        base = shelf_config(2)
+        specs = [JobSpec(config=replace(base, rob_entries=32 + 8 * i),
+                         benchmarks=("ilp.int4", "pchase.l2"), length=300)
+                 for i in range(6)]
+        jobs = [queue.submit(spec) for spec in specs]
+        sched.start()
+        try:
+            for job in jobs:
+                assert job.done.wait(120)
+        finally:
+            assert sched.stop(drain=True, timeout=30)
+        assert not token.exists()
+        assert all(job.state == JobState.DONE for job in jobs)
+        assert sorted(finished) == sorted(job.job_id for job in jobs)
+        assert metrics.counters["jobs_completed"] == 6
+        assert metrics.counters["jobs_failed"] == 0
+        assert metrics.counters["worker_crashes"] >= 1
+        assert metrics.counters["retries"] >= 1
+        for job, spec in zip(jobs, specs):
+            traces = [generate(b, spec.length, spec.seed + i)
+                      for i, b in enumerate(spec.benchmarks)]
+            direct = Pipeline(spec.config, traces).run(stop=spec.stop)
+            assert pickle.dumps(job.result) == pickle.dumps(direct)
 
     @needs_sigalrm
     def test_timeout_surfaces_structured_error(self, fresh_store):
@@ -460,3 +504,52 @@ class TestCampaignAnalytics:
             jid = client.submit_point(shelf_config(1), ("ilp.int4",), 300)
             client.wait(jid, timeout_s=120)
             assert client.campaigns() == []
+
+
+# ---------------------------------------------------------------------------
+# client backoff (deterministic jitter)
+# ---------------------------------------------------------------------------
+
+class TestClientBackoff:
+    def test_backoff_deterministic_and_exponential(self):
+        a = [backoff_delay(0.1, k, "w1") for k in range(5)]
+        b = [backoff_delay(0.1, k, "w1") for k in range(5)]
+        assert a == b
+        for k, delay in enumerate(a):
+            assert 0.05 * 2 ** k <= delay < 0.1 * 2 ** k
+
+    def test_backoff_spreads_across_keys(self):
+        delays = {backoff_delay(0.1, 3, f"w{i}") for i in range(8)}
+        assert len(delays) == 8  # distinct keys -> distinct jitter
+
+    def test_client_retries_connection_failures(self):
+        client = ServiceClient("http://127.0.0.1:1", timeout_s=0.2,
+                               retries=2, backoff_s=0.01)
+        with pytest.raises(ServiceError):
+            client.healthz()
+        assert len(client.retry_log) == 2
+        assert client.retry_log[1] > client.retry_log[0]
+
+    def test_http_errors_never_retry(self, fresh_store):
+        with _Service(workers=1) as client:
+            client.retries = 3
+            with pytest.raises(ServiceError) as err:
+                client._request("GET", "/no-such-endpoint")
+            assert err.value.status == 404
+            assert client.retry_log == []
+
+
+# ---------------------------------------------------------------------------
+# layering
+# ---------------------------------------------------------------------------
+
+def test_store_lookup_imports_no_service(tmp_path):
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "store"),
+               PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import sys\n"
+            "from repro.harness.cache import get_store\n"
+            "assert get_store() is not None\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m.split('.')[:2] == ['repro', 'service']]\n"
+            "assert not loaded, loaded\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
